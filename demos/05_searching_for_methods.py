@@ -1,11 +1,13 @@
 """Searching for methods with large SSP coefficients.
 
 The search maximizes the monotonicity radius over tableau coefficients
-subject to the effective-order conditions, by multistart sequential
-quadratic programming on a penalty ladder.  A second search builds the
-start/stop companions: they must hit prescribed weight targets while
-keeping their own radius at least as large, so the composite keeps the
-main method's step-size guarantee.  Fixed seeds make every run repeatable.
+subject to the effective-order conditions: each seeded restart finds a
+feasible tableau, then runs one sequential quadratic program with the
+radius as a decision variable and exact constraint Jacobians.  A second
+search builds the start/stop companions the same way: they must hit
+prescribed weight targets while keeping their own radius at least as
+large, so the composite keeps the main method's step-size guarantee.
+Fixed seeds make every run repeatable.
 """
 
 import numpy as np

@@ -1,10 +1,18 @@
 """Regenerate the frozen coefficient files under src/essprk/data/.
 
 Published 15-digit tableaux are copied in verbatim; everything else is
-searched with fixed seeds so reruns reproduce the shipped files exactly.
-Run from anywhere: python3 scripts/build_catalog_data.py
+searched with fixed seeds.  A rerun is deterministic and reaches the same
+certified coefficients, but the searched files need not match the shipped
+ones: the searched main method may differ in its low digits, and a
+companion pair, which is not unique, may be a different pair altogether.
+Every written file is checked by loading the catalog from the output
+directory.
+
+Run from anywhere: python3 scripts/build_catalog_data.py [--out DIR]
+(DIR defaults to src/essprk/data).
 """
 
+import argparse
 import sys
 import time
 from dataclasses import replace
@@ -33,15 +41,15 @@ from essprk.order_conditions import (  # noqa: E402
     elementary_weights,
 )
 from essprk.ssp import ssp_coefficient  # noqa: E402
-from essprk.tableau import ButcherTableau, emit_tableau  # noqa: E402
+from essprk.tableau import ButcherTableau, emit_tableau, parse_tableau  # noqa: E402
 
 DATA = ROOT / "src" / "essprk" / "data"
 
 
-def write(name: str, tableau: ButcherTableau) -> None:
-    path = DATA / name
+def write(out_dir: Path, name: str, tableau: ButcherTableau) -> None:
+    path = out_dir / name
     path.write_bytes(emit_tableau(tableau))
-    print(f"  wrote {path.relative_to(ROOT)}")
+    print(f"  wrote {path}")
 
 
 def as_outcome(tableau: ButcherTableau, spec: EffectiveOrderSpec) -> MainSearchOutcome:
@@ -114,9 +122,9 @@ def published(label, A, b, q=None, p=None):
     return t
 
 
-def companions(stem, label, main_tab, spec, config, **kw):
+def companions(out_dir, stem, label, main_tab, spec, config):
     t0 = time.time()
-    out = optimize_start_stop(as_outcome(main_tab, spec), config, **kw)
+    out = optimize_start_stop(as_outcome(main_tab, spec), config)
     took = time.time() - t0
     print(
         f"  {label} companions: min radius {out.min_radius:.7f} "
@@ -125,23 +133,29 @@ def companions(stem, label, main_tab, spec, config, **kw):
     )
     if not out.success:
         raise SystemExit(f"{label}: companion search failed to reach the target")
-    write(f"{stem}_start.json", replace(out.start, label=f"{label}-start"))
-    write(f"{stem}_stop.json", replace(out.stop, label=f"{label}-stop"))
+    write(out_dir, f"{stem}_start.json", replace(out.start, label=f"{label}-start"))
+    write(out_dir, f"{stem}_stop.json", replace(out.stop, label=f"{label}-stop"))
 
 
 def main() -> None:
-    DATA.mkdir(parents=True, exist_ok=True)
-    init = DATA / "__init__.py"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out", type=Path, default=DATA,
+        help="directory to write the data files to (default: src/essprk/data)",
+    )
+    out_dir = parser.parse_args().out.resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    init = out_dir / "__init__.py"
     if not init.exists():
         init.write_text("")
 
     print("published methods:")
-    write("essprk_4_4_2.json", published("ESSPRK(4,4,2)", A_442, b_442, q=4, p=2))
-    write("essprk_4_4_2_start.json", published("ESSPRK(4,4,2)-start", R_442, bR_442))
-    write("essprk_4_4_2_stop.json", published("ESSPRK(4,4,2)-stop", T_442, bT_442))
-    write("essprk_4_4_3.json", published("ESSPRK(4,4,3)", A_443, b_443, q=4, p=3))
-    write("essprk_4_4_3_start.json", published("ESSPRK(4,4,3)-start", R_443, bR_443))
-    write("essprk_4_4_3_stop.json", published("ESSPRK(4,4,3)-stop", T_443, bT_443))
+    write(out_dir, "essprk_4_4_2.json", published("ESSPRK(4,4,2)", A_442, b_442, q=4, p=2))
+    write(out_dir, "essprk_4_4_2_start.json", published("ESSPRK(4,4,2)-start", R_442, bR_442))
+    write(out_dir, "essprk_4_4_2_stop.json", published("ESSPRK(4,4,2)-stop", T_442, bT_442))
+    write(out_dir, "essprk_4_4_3.json", published("ESSPRK(4,4,3)", A_443, b_443, q=4, p=3))
+    write(out_dir, "essprk_4_4_3_start.json", published("ESSPRK(4,4,3)-start", R_443, bR_443))
+    write(out_dir, "essprk_4_4_3_stop.json", published("ESSPRK(4,4,3)-stop", T_443, bT_443))
 
     print("searched five-stage method, effective order four:")
     t0 = time.time()
@@ -149,7 +163,6 @@ def main() -> None:
         5,
         EffectiveOrderSpec(4, 2),
         SearchConfig(restarts=3, seed=0),
-        radius_tol=1e-9,
     )
     print(
         f"  ESSPRK(5,4,2): C = {out.ssp.coefficient:.9f}, "
@@ -157,39 +170,42 @@ def main() -> None:
         f"{time.time() - t0:.1f}s"
     )
     main_542 = replace(out.tableau, label="ESSPRK(5,4,2)", q=4, p=2)
-    write("essprk_5_4_2.json", main_542)
+    write(out_dir, "essprk_5_4_2.json", main_542)
     companions(
+        out_dir,
         "essprk_5_4_2",
         "ESSPRK(5,4,2)",
         main_542,
         EffectiveOrderSpec(4, 2),
         SearchConfig(restarts=4, seed=0),
-        radius_tol=1e-8,
     )
 
     print("companions for the closed-form families:")
     companions(
+        out_dir,
         "essprk_3_3_2",
         "ESSPRK(3,3,2)",
         essprk_332(DEFAULT_GAMMA_332),
         EffectiveOrderSpec(3, 2),
         SearchConfig(restarts=4, seed=0),
-        radius_tol=1e-8,
     )
     companions(
+        out_dir,
         "essprk_4_3_2",
         "ESSPRK(4,3,2)",
         essprk_432(DEFAULT_GAMMA_432),
         EffectiveOrderSpec(3, 2),
         SearchConfig(restarts=4, seed=0),
-        radius_tol=1e-8,
     )
 
     print("verifying the full catalog from the written files:")
-    from essprk.methods import catalog
+    import essprk.methods as methods
 
-    catalog.cache_clear()
-    for entry in catalog():
+    # the catalog reads every data file through _load_tableau; point it at
+    # the output directory so the load-time checks cover what was written
+    methods._load_tableau = lambda name: parse_tableau((out_dir / name).read_text())
+    methods.catalog.cache_clear()
+    for entry in methods.catalog():
         extra = "" if entry.start is None else " [start/stop]"
         print(
             f"  {entry.label}: s={entry.main.s} q={entry.q} p={entry.p} "

@@ -5,23 +5,32 @@ maximizing the SSP coefficient subject to the effective-order conditions;
 the start/stop search then builds the preparation and finishing methods a
 composite run needs, maximizing the smaller of their two SSP coefficients.
 
-Both are bilevel: an outer bisection on the radius, and an inner
-sequential-quadratic feasibility solve at each candidate radius (order
-residuals as equalities, nonnegativity margins as inequalities), warm
-started along the bisection path.  Restarts draw fresh initial guesses
-from a per-restart seeded stream and are merged deterministically, so a
-fixed seed always reproduces the same outcome.
+Both treat the radius r as a decision variable and maximize it in one
+nonlinear program over z = (x, r): the order conditions are equalities, the
+nonnegativity margins of the transformed coefficients at r are
+inequalities, and every constraint comes with its exact Jacobian.  Each
+restart first solves for a feasible point with r pinned at the least
+radius the search needs (zero for a main method, the main method's
+coefficient for its companions), then maximizes r from that point, or
+from its raw start when the first solve failed.  Restarts draw their
+initial guesses from a per-restart seeded stream and are merged
+deterministically, so a fixed seed always reproduces the same outcome.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import block_diag, solve_triangular
+from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, OrderConditionsInfeasible
 from .order_conditions import (
+    N_TREES,
     EffectiveOrderSpec,
     StartingWeights,
     effective_order_residuals,
@@ -38,49 +47,37 @@ __all__ = [
     "StartStopOutcome",
     "optimize_main",
     "optimize_start_stop",
-    "KNOWN_LINEAR_EFFECTIVE_BOUNDS",
 ]
-
-# best per-stage SSP coefficients any method of the given (stages, order)
-# can reach on linear problems; exact values only, used as search ceilings
-KNOWN_LINEAR_EFFECTIVE_BOUNDS: dict[tuple[int, int], float] = {
-    (3, 3): 1.0 / 3.0,
-    (4, 3): 1.0 / 2.0,
-    (4, 4): 0.25,
-    (5, 4): 0.40,
-}
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Tuning knobs for the multistart searches.
 
-    ``penalty_weights`` drive the quadratic-penalty fallback used when the
-    direct constrained solve stalls; they must increase strictly.
-    ``step_scale`` scales the random perturbation applied when retrying a
-    failed inner solve.
+    Each restart makes at most two solves of ``max_iterations`` iterations
+    (one least-squares solve for effective order five).  A point counts as
+    feasible when every order residual is within ``residual_tol`` and no
+    margin is below ``-residual_tol``.
     """
 
     restarts: int = 8
     seed: int = 0
     max_iterations: int = 200
-    penalty_weights: tuple[float, ...] = (1e2, 1e4, 1e6)
     residual_tol: float = 1e-10
-    step_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise DomainError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
-        if self.residual_tol <= 0.0:
-            raise DomainError("residual_tol must be positive")
-        w = tuple(float(x) for x in self.penalty_weights)
-        if len(w) == 0 or any(x <= 0.0 for x in w):
-            raise DomainError("penalty_weights must be positive")
-        if any(b <= a for a, b in zip(w, w[1:])):
-            raise DomainError("penalty_weights must increase strictly")
-        object.__setattr__(self, "penalty_weights", w)
+        # bools are integers to Python, so True would pass as one restart
+        for name in ("restarts", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise DomainError(f"{name} must be at least 1")
+        tol = self.residual_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise DomainError(f"residual_tol must be a number, got {tol!r}")
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"residual_tol must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +140,21 @@ def _unpack(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     return A, np.array(x[k : k + s])
 
 
+@lru_cache(maxsize=16)
+def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of (A, b) along each packed coordinate, stacked first."""
+    dA, db = map(np.array, zip(*[_unpack(e, s) for e in np.eye(_pack_dim(s))]))
+    dA.flags.writeable = False
+    db.flags.writeable = False
+    return dA, db
+
+
+def _split(x: np.ndarray, stages) -> tuple[list, np.ndarray]:
+    """Unpack consecutive tableaux of the given stage counts; the rest is free."""
+    *parts, free = np.split(x, np.cumsum([_pack_dim(s) for s in stages]))
+    return [_unpack(part, s) for part, s in zip(parts, stages)], free
+
+
 def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     x = rng.uniform(0.0, 1.0 / s, size=_pack_dim(s))
     nA = s * (s - 1) // 2
@@ -152,108 +164,239 @@ def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     return x
 
 
-def _margins(A: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
-    """Nonnegativity margins at radius r, structural entries only.
+def _weights_jacobian(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jacobian of the 18 elementary weights in the packed coordinates.
 
-    The always-zero upper triangle is excluded so the inner solver never
-    sees constraints with vanishing gradients.
+    Forward mode over the products ``elementary_weights`` forms: every stage
+    vector travels with one tangent row per coordinate.
     """
-    X, rem = _transformed(A, b, r)
-    s = b.size
-    parts = [X[i, :i] for i in range(1, s)]
-    parts.append(X[s, :])
-    parts.append(rem)
-    return np.concatenate(parts)
+    dA, db = _tangents(b.size)
+    n, s = db.shape
+
+    def Am(u):
+        return A @ u[0], dA @ u[0] + u[1] @ A.T
+
+    def mul(u, v):
+        return u[0] * v[0], u[1] * v[0] + u[0] * v[1]
+
+    one = (np.ones(s), np.zeros((n, s)))
+    c = Am(one)
+    c2 = mul(c, c)
+    c3 = mul(c2, c)
+    Ac, Ac2 = Am(c), Am(c2)
+    AAc = Am(Ac)
+    cAc = mul(c, Ac)
+    terms = [
+        one, c, c2, Ac, c3, cAc, Ac2, AAc, mul(c2, c2), mul(c2, Ac),
+        mul(c, Ac2), mul(c, AAc), mul(Ac, Ac), Am(c3), Am(cAc), Am(Ac2), Am(AAc),
+    ]
+    J = np.zeros((N_TREES, n))
+    for i, (u, du) in enumerate(terms, start=1):
+        J[i] = db @ u + du @ b
+    return J
 
 
-def _feasible(eq_fun, ineq_fun, x0, config: SearchConfig):
-    """One constrained feasibility attempt; returns the point or None."""
-    cons = [{"type": "eq", "fun": eq_fun}]
-    if ineq_fun is not None:
-        cons.append({"type": "ineq", "fun": ineq_fun})
-    res = minimize(
-        lambda x: 0.0,
-        x0,
-        method="SLSQP",
-        constraints=cons,
-        options={"maxiter": config.max_iterations, "ftol": 1e-14},
-    )
-    x = res.x
-    tol = config.residual_tol
-    r = eq_fun(x)
-    if not (np.isfinite(r).all() and np.max(np.abs(r)) <= tol):
-        return None
-    if ineq_fun is not None:
-        m = ineq_fun(x)
-        if not (np.isfinite(m).all() and np.min(m) >= -tol):
-            return None
-    return x
+def _residual_jacobian(w: np.ndarray, spec: EffectiveOrderSpec) -> np.ndarray:
+    """Jacobian of ``effective_order_residuals`` in the weights at ``w``.
 
-
-def _feasible_with_fallback(eq_fun, ineq_fun, x0, config: SearchConfig, rng):
-    """Direct solve, then a penalty ramp from a perturbed point, then polish.
-
-    Returns (feasible point or None, last point tried).
+    The residuals are at most quadratic in the weights (affine for q <= 4),
+    so a central difference with unit step is exact up to rounding.
     """
-    x = _feasible(eq_fun, ineq_fun, x0, config)
-    if x is not None:
-        return x, x
-    y = x0 + config.step_scale * rng.normal(0.0, 0.05, size=x0.size)
-    for weight in config.penalty_weights:
+    cols = []
+    for e in np.eye(N_TREES):
+        plus = effective_order_residuals(w + e, spec)
+        cols.append(0.5 * (plus - effective_order_residuals(w - e, spec)))
+    return np.stack(cols, axis=1)
 
-        def merit(z, w=weight):
-            r = eq_fun(z)
-            val = w * float(r @ r)
-            if ineq_fun is not None:
-                m = np.minimum(ineq_fun(z), 0.0)
-                val += w * float(m @ m)
-            return val
 
-        res = minimize(
-            merit,
-            y,
-            method="SLSQP",
-            options={"maxiter": config.max_iterations, "ftol": 1e-16},
+def _structural(s: int) -> np.ndarray:
+    """Mask of the transformed (s+1) x s entries that are not always zero."""
+    return np.arange(s + 1)[:, None] > np.arange(s)
+
+
+def _margins(z: np.ndarray, stages) -> np.ndarray:
+    """Nonnegativity margins at radius z[-1] of the tableaux packed in z[:-1].
+
+    Only structural entries count: the always-zero upper triangle would
+    give the solver constraints with vanishing gradients.
+    """
+    out = []
+    for A, b in _split(z[:-1], stages)[0]:
+        X, rem = _transformed(A, b, z[-1])
+        out += [X[_structural(b.size)], rem]
+    return np.concatenate(out)
+
+
+def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
+    """Jacobian of :func:`_margins` in z, the radius column last.
+
+    With K = [A; b], M = I + rA and X = K M^-1, a step (dA, dK) moves X by
+    (dK - X r dA) M^-1 and a step in r moves it by -X A M^-1; the leftover
+    column 1 - r X 1 follows.
+    """
+    r = z[-1]
+    tableaux, free = _split(z[:-1], stages)
+    blocks, r_col = [], []
+    for A, b in tableaux:
+        s = b.size
+        dA, db = _tangents(s)
+        X, _ = _transformed(A, b, r)
+        M_inv = solve_triangular(
+            np.eye(s) + r * A, np.eye(s), lower=True, unit_diagonal=True,
+            check_finite=False,
         )
-        if np.isfinite(res.x).all():
-            y = res.x
-    return _feasible(eq_fun, ineq_fun, y, config), y
+        dK = np.concatenate([dA, db[:, None, :]], axis=1)
+        dX = np.concatenate([(dK - r * (X @ dA)) @ M_inv, [-X @ A @ M_inv]])
+        drem = -r * dX.sum(axis=2)
+        drem[-1] -= X.sum(axis=1)
+        J = np.concatenate([dX[:, _structural(s)], drem], axis=1).T
+        blocks.append(J[:, :-1])
+        r_col.append(J[:, -1])
+    r_col = np.concatenate(r_col)
+    return np.column_stack(
+        [block_diag(*blocks), np.zeros((r_col.size, free.size)), r_col]
+    )
 
 
-def _bisect_radius(
-    eq_fun, margins_at, x_feas, cap: float, config: SearchConfig, rng, radius_tol
+def _main_constraints(s: int, spec: EffectiveOrderSpec):
+    """Order residuals of a packed s-stage tableau and their exact Jacobian."""
+    # affine residuals have one Jacobian in the weights everywhere
+    R = _residual_jacobian(np.zeros(N_TREES), spec) if spec.q <= 4 else None
+
+    def weights(x):
+        A, b = _unpack(x, s)
+        return elementary_weights(ButcherTableau(A=A, b=b))
+
+    def fun(x):
+        return effective_order_residuals(weights(x), spec)
+
+    def jac(x):
+        Rx = R if R is not None else _residual_jacobian(weights(x), spec)
+        return Rx @ _weights_jacobian(*_unpack(x, s))
+
+    return fun, jac
+
+
+def _start_stop_constraints(
+    w_main: np.ndarray, starting: StartingWeights, stages, q: int
 ):
-    """Largest radius with a feasible point, warm starting up the bracket.
+    """Start/stop target gaps over (x_start, x_stop, free weights), with Jacobian.
 
-    ``margins_at(r)`` must return the inequality function at radius r.
-    Returns (radius, point at that radius).
+    The targets are affine in the free weights, so unit differences give
+    their exact derivatives.
     """
-    x_cap = _feasible(eq_fun, margins_at(cap), x_feas, config)
-    if x_cap is not None:
-        return cap, x_cap
-    lo, hi = 0.0, cap
-    x_lo = x_feas
-    while hi - lo > radius_tol:
-        mid = 0.5 * (lo + hi)
-        ineq = margins_at(mid)
-        x = _feasible(eq_fun, ineq, x_lo, config)
-        if x is None:
-            # one cheap jittered retry; the full penalty ramp is far too
-            # slow to run at every infeasible midpoint
-            y = x_lo + config.step_scale * rng.normal(0.0, 0.02, size=x_lo.size)
-            x = _feasible(eq_fun, ineq, y, config)
-        if x is not None:
-            lo, x_lo = mid, x
-        else:
-            hi = mid
-    return lo, x_lo
+    rows = slice(1, 5 if q == 3 else 9)
+
+    def targets(f):
+        return np.concatenate(
+            [t[rows] for t in start_stop_targets(w_main, starting.fill(f))]
+        )
+
+    base = targets(np.zeros(len(starting.free)))
+    D = np.stack([targets(e) - base for e in np.eye(len(starting.free))], axis=1)
+
+    def fun(x):
+        tableaux, f = _split(x, stages)
+        w = [elementary_weights(ButcherTableau(A=A, b=b))[rows] for A, b in tableaux]
+        return np.concatenate(w) - targets(f)
+
+    def jac(x):
+        tableaux, _ = _split(x, stages)
+        J = [_weights_jacobian(A, b)[rows] for A, b in tableaux]
+        return np.hstack([block_diag(*J), -D])
+
+    return fun, jac
+
+
+def _least_squares_fit(eq, eq_jac, start, lower, config) -> np.ndarray:
+    """Closest fit of the equalities over the restarts, with x >= ``lower``.
+
+    Each restart is one least-squares solve from ``start(k)``; the search
+    stops early once a fit meets the residual tolerance.
+    """
+    best_x, best_val = None, np.inf
+    for k in range(config.restarts):
+        x = least_squares(
+            eq,
+            start(k),
+            jac=eq_jac,
+            bounds=(lower, np.inf),
+            ftol=1e-15, xtol=1e-15, gtol=1e-15,
+            max_nfev=config.max_iterations,
+        ).x
+        val = float(np.max(np.abs(eq(x))))
+        if val < best_val:
+            best_val, best_x = val, x
+        if best_val <= config.residual_tol:
+            break
+    return best_x
+
+
+def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray:
+    """Best x over the restarts, maximizing the common radius r in each.
+
+    x packs one tableau per entry of ``stages``, then free values;
+    ``start(k)`` gives restart k's initial x.  Each restart first solves
+    for a feasible point with r pinned by its bounds to ``r_floor``, the
+    radius the caller needs at least, then maximizes r on [0, 2 min stages]
+    from that point, or from the raw start when it is infeasible.  Every
+    solution passing the feasibility check competes.  When none does,
+    raises with the residuals of the closest fit with nonnegative tableau
+    entries, which are the margins at r = 0.
+    """
+    cons = [
+        {
+            "type": "eq",
+            "fun": lambda z: eq(z[:-1]),
+            "jac": lambda z: np.pad(eq_jac(z[:-1]), ((0, 0), (0, 1))),
+        },
+        {"type": "ineq", "fun": _margins, "jac": _margins_jacobian, "args": (stages,)},
+    ]
+
+    def solve(z0, r_lo, r_hi):
+        grad = np.zeros(z0.size)
+        grad[-1] = -1.0
+        return minimize(
+            lambda z: -z[-1],
+            z0,
+            jac=lambda z: grad,
+            method="SLSQP",
+            bounds=[(None, None)] * (z0.size - 1) + [(r_lo, r_hi)],
+            constraints=cons,
+            options={"maxiter": config.max_iterations, "ftol": 1e-14},
+        ).x
+
+    def feasible(z):
+        return bool(
+            np.isfinite(z).all()
+            and np.max(np.abs(eq(z[:-1]))) <= config.residual_tol
+            and np.min(_margins(z, stages)) >= -config.residual_tol
+        )
+
+    best = None
+    for k in range(config.restarts):
+        z0 = np.append(start(k), r_floor)
+        z1 = solve(z0, r_floor, r_floor)
+        z2 = solve(z1 if feasible(z1) else z0, 0.0, 2.0 * min(stages))
+        for z in (z1, z2):
+            if feasible(z) and (best is None or z[-1] > best[-1]):
+                best = z
+    if best is None:
+        lower = np.full(z0.size - 1, -np.inf)
+        lower[: sum(_pack_dim(s) for s in stages)] = 0.0
+        miss = eq(_least_squares_fit(eq, eq_jac, start, lower, config))
+        raise OrderConditionsInfeasible(
+            f"no feasible point found in {config.restarts} restarts "
+            f"(best residual {np.max(np.abs(miss)):.3e})",
+            best_residuals=miss,
+        )
+    return best[:-1]
 
 
 def optimize_main(
     s: int,
     spec: EffectiveOrderSpec,
     config: SearchConfig | None = None,
-    radius_tol: float = 1e-7,
 ) -> MainSearchOutcome:
     """Search for the s-stage method of effective order (q, p) with largest
     SSP coefficient.
@@ -261,123 +404,39 @@ def optimize_main(
     Runs ``config.restarts`` independent searches and keeps the best; the
     result carries an independently certified coefficient.  Raises when no
     restart can even satisfy the order conditions with nonnegative
-    coefficients (carrying the best residual vector reached).  Order five
-    is handled specially: no such method admits a positive coefficient, so
-    the search solves the order conditions alone (signs unconstrained) and
-    reports the certified coefficient of whatever it finds, converged or
-    not, rather than hunting for a feasible point forever.
+    coefficients (carrying the residual vector of the closest fit).  Order
+    five is handled specially: no such method admits a positive
+    coefficient, so the search fits the order conditions alone (signs
+    unconstrained) by least squares and reports the certified coefficient
+    of whatever it finds, converged or not, rather than hunting for a
+    feasible point forever.
     """
     if s < 2:
         raise DomainError(f"need at least 2 stages, got {s}")
     config = config or SearchConfig()
+    eq, eq_jac = _main_constraints(s, spec)
 
-    def eq_fun(x):
-        A, b = _unpack(x, s)
-        return effective_order_residuals(
-            elementary_weights(ButcherTableau(A=A, b=b)), spec
-        )
+    def start(k):
+        return _random_start(np.random.default_rng((config.seed, k)), s)
 
     if spec.q >= 5:
-        return _order_only_search(s, spec, config, eq_fun)
-
-    cap = 2.0 * s
-    bound = KNOWN_LINEAR_EFFECTIVE_BOUNDS.get((s, spec.q))
-    target = None
-    if bound is not None:
-        # no method beats its linear-problem ceiling, so the bisection can
-        # start just above it; stop restarting once the ceiling is reached
-        cap = min(cap, s * bound + 1e-4)
-        target = s * bound - max(10.0 * radius_tol, 1e-9)
-
-    def margins_at(r):
-        def ineq(x):
-            A, b = _unpack(x, s)
-            return _margins(A, b, r)
-
-        return ineq
-
-    best: tuple[float, np.ndarray] | None = None
-    best_residual: np.ndarray | None = None
-    for k in range(config.restarts):
-        rng = np.random.default_rng((config.seed, k))
-        x0 = _random_start(rng, s)
-        x, last = _feasible_with_fallback(eq_fun, margins_at(0.0), x0, config, rng)
-        if x is None:
-            r = eq_fun(last)
-            if best_residual is None or np.max(np.abs(r)) < np.max(
-                np.abs(best_residual)
-            ):
-                best_residual = r
-            continue
-        radius, x_opt = _bisect_radius(
-            eq_fun, margins_at, x, cap, config, rng, radius_tol
-        )
-        if best is None or radius > best[0]:
-            best = (radius, x_opt)
-        if target is not None and best[0] >= target:
-            break
-    if best is None:
-        worst = float(np.max(np.abs(best_residual)))
-        raise OrderConditionsInfeasible(
-            f"no feasible point found in {config.restarts} restarts "
-            f"(best residual {worst:.3e})",
-            best_residuals=best_residual,
-        )
-    _, x_best = best
-    A, b = _unpack(x_best, s)
-    tableau = ButcherTableau(A=A, b=b, q=spec.q, p=spec.p)
-    residuals = effective_order_residuals(elementary_weights(tableau), spec)
-    return MainSearchOutcome(
-        tableau=tableau,
-        ssp=ssp_coefficient(tableau),
-        residuals=residuals,
-        spec=spec,
-        converged=bool(np.max(np.abs(residuals)) <= config.residual_tol),
-    )
-
-
-def _order_only_search(s, spec, config, eq_fun) -> MainSearchOutcome:
-    # order five: coefficients may go negative; minimize the squared
-    # residual instead of hunting for a nonnegative feasible point
-    best_x = None
-    best_val = np.inf
-    for k in range(config.restarts):
-        rng = np.random.default_rng((config.seed, k))
-        x = _random_start(rng, s)
-
-        def merit(z, w=1.0):
-            r = eq_fun(z)
-            return w * float(r @ r)
-
-        for weight in config.penalty_weights:
-            res = minimize(
-                merit,
-                x,
-                args=(weight,),
-                method="SLSQP",
-                options={"maxiter": config.max_iterations, "ftol": 1e-16},
-            )
-            if np.isfinite(res.x).all():
-                x = res.x
-        val = float(np.max(np.abs(eq_fun(x))))
-        if val < best_val:
-            best_val, best_x = val, x
-        if best_val <= config.residual_tol:
-            break
-    A, b = _unpack(best_x, s)
-    tableau = ButcherTableau(A=A, b=b)
-    residuals = effective_order_residuals(elementary_weights(tableau), spec)
+        x = _least_squares_fit(eq, eq_jac, start, -np.inf, config)
+    else:
+        x = _max_radius_search(eq, eq_jac, [s], start, 0.0, config)
+    A, b = _unpack(x, s)
+    residuals = eq(x)
     converged = bool(np.max(np.abs(residuals)) <= config.residual_tol)
+    labels = {} if spec.q >= 5 else {"q": spec.q, "p": spec.p}
+    tableau = ButcherTableau(A=A, b=b, **labels)
     result = ssp_coefficient(tableau)
     if not converged:
-        # no method of this effective order exists at this stage count,
-        # so the attainable coefficient is zero by definition
-        base = result.certificate
+        # only order five gets here: no method of this effective order
+        # exists at this stage count, so the attainable coefficient is zero
         result = SSPResult(
             coefficient=0.0,
             effective_coefficient=0.0,
             bracket=(0.0, 0.0),
-            certificate=base,
+            certificate=result.certificate,
         )
     return MainSearchOutcome(
         tableau=tableau,
@@ -393,14 +452,14 @@ def optimize_start_stop(
     config: SearchConfig | None = None,
     start_stages: int | None = None,
     stop_stages: int | None = None,
-    radius_tol: float = 1e-7,
 ) -> StartStopOutcome:
     """Jointly search for starting and stopping methods for ``main``.
 
-    Decision variables are the two tableaux plus the free perturbation
-    weights of order q; the objective is the smaller of the two SSP
-    coefficients, driven by a common-radius bisection.  Stage counts
-    default to s+1 for the starting method and s for the stopping method.
+    Decision variables are the two tableaux, the free perturbation weights
+    of order q and a common radius, which the search maximizes; the
+    reported ``min_radius`` is the smaller of the two certified SSP
+    coefficients.  Stage counts default to s+1 for the starting method and
+    s for the stopping method.
     """
     config = config or SearchConfig()
     spec = main.spec
@@ -415,90 +474,30 @@ def optimize_start_stop(
         raise DomainError("start and stop methods need at least 2 stages")
     w_main = elementary_weights(main.tableau)
     starting = recover_starting_weights(w_main, spec, tol=config.residual_tol)
-    free = starting.free
-    n_free = len(free)
-    n_trees = 4 if spec.q == 3 else 8
-    d_start = _pack_dim(s_start)
-    d_stop = _pack_dim(s_stop)
+    stages = [s_start, s_stop]
+    eq, eq_jac = _start_stop_constraints(w_main, starting, stages, spec.q)
 
-    def split(x):
-        return (
-            x[:d_start],
-            x[d_start : d_start + d_stop],
-            x[d_start + d_stop :],
-        )
-
-    def eq_fun(x):
-        xr, xt, f = split(x)
-        Ar, br = _unpack(xr, s_start)
-        At, bt = _unpack(xt, s_stop)
-        rho, tau = start_stop_targets(w_main, starting.fill(f))
-        wr = elementary_weights(ButcherTableau(A=Ar, b=br))
-        wt = elementary_weights(ButcherTableau(A=At, b=bt))
-        return np.concatenate(
-            [
-                wr[1 : n_trees + 1] - rho[1 : n_trees + 1],
-                wt[1 : n_trees + 1] - tau[1 : n_trees + 1],
-            ]
-        )
-
-    def margins_at(r):
-        def ineq(x):
-            xr, xt, _ = split(x)
-            Ar, br = _unpack(xr, s_start)
-            At, bt = _unpack(xt, s_stop)
-            return np.concatenate([_margins(Ar, br, r), _margins(At, bt, r)])
-
-        return ineq
-
-    cap = 2.0 * min(s_start, s_stop)
-    best: tuple[float, np.ndarray] | None = None
-    best_residual: np.ndarray | None = None
-    for k in range(config.restarts):
+    def start(k):
         rng = np.random.default_rng((config.seed, k, 1))
-        x0 = np.concatenate(
-            [
-                _random_start(rng, s_start),
-                _random_start(rng, s_stop),
-                np.zeros(n_free),
-            ]
-        )
-        x, last = _feasible_with_fallback(eq_fun, margins_at(0.0), x0, config, rng)
-        if x is None:
-            r = eq_fun(last)
-            if best_residual is None or np.max(np.abs(r)) < np.max(
-                np.abs(best_residual)
-            ):
-                best_residual = r
-            continue
-        radius, x_opt = _bisect_radius(
-            eq_fun, margins_at, x, cap, config, rng, radius_tol
-        )
-        if best is None or radius > best[0]:
-            best = (radius, x_opt)
-    if best is None:
-        worst = float(np.max(np.abs(best_residual)))
-        raise OrderConditionsInfeasible(
-            f"no start/stop pair found in {config.restarts} restarts "
-            f"(best residual {worst:.3e})",
-            best_residuals=best_residual,
-        )
-    _, x_best = best
-    xr, xt, f = split(x_best)
-    Ar, br = _unpack(xr, s_start)
-    At, bt = _unpack(xt, s_stop)
-    start = ButcherTableau(A=Ar, b=br)
-    stop = ButcherTableau(A=At, b=bt)
-    worst_residual = float(np.max(np.abs(eq_fun(x_best))))
+        tableaux = [_random_start(rng, n) for n in stages]
+        return np.concatenate(tableaux + [np.zeros(len(starting.free))])
+
+    # pinning the first solve at the main method's coefficient, the radius
+    # a useful pair needs, keeps it out of degenerate pairs (stages with zero
+    # weight) whose radius is a poor local maximum
+    x = _max_radius_search(eq, eq_jac, stages, start, main.ssp.coefficient, config)
+    ((Ar, br), (At, bt)), f = _split(x, stages)
+    start_tab = ButcherTableau(A=Ar, b=br)
+    stop_tab = ButcherTableau(A=At, b=bt)
     min_radius = min(
-        ssp_coefficient(start).coefficient, ssp_coefficient(stop).coefficient
+        ssp_coefficient(start_tab).coefficient, ssp_coefficient(stop_tab).coefficient
     )
     return StartStopOutcome(
-        start=start,
-        stop=stop,
+        start=start_tab,
+        stop=stop_tab,
         starting=starting.fill(f),
         free_weights=np.array(f),
         min_radius=min_radius,
         success=bool(min_radius + 1e-9 >= main.ssp.coefficient),
-        worst_residual=worst_residual,
+        worst_residual=float(np.max(np.abs(eq(x)))),
     )

@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from essprk.errors import DomainError, OrderConditionsInfeasible
+from essprk.methods import lookup
 from essprk.optimizer import (
     MainSearchOutcome,
     SearchConfig,
+    _main_constraints,
+    _margins,
+    _margins_jacobian,
+    _pack_dim,
+    _start_stop_constraints,
+    _unpack,
+    _weights_jacobian,
     optimize_main,
     optimize_start_stop,
 )
@@ -19,10 +27,22 @@ from essprk.order_conditions import (
     effective_order,
     effective_order_residuals,
     elementary_weights,
+    recover_starting_weights,
 )
 from essprk.ssp import ssp_coefficient
+from essprk.tableau import ButcherTableau
 
 COARSE = SearchConfig(restarts=2, seed=0)
+
+
+def central_difference(f, x, h=1e-6):
+    return np.stack(
+        [(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)], axis=1
+    )
+
+
+def assert_jacobian(exact, f, x):
+    np.testing.assert_allclose(exact, central_difference(f, x), rtol=1e-6, atol=1e-7)
 
 
 def wrap(tableau, spec):
@@ -44,10 +64,12 @@ class TestSearchConfig:
             {"restarts": 0},
             {"max_iterations": 0},
             {"residual_tol": 0.0},
-            {"penalty_weights": ()},
-            {"penalty_weights": (1e2, 1e2)},
-            {"penalty_weights": (1e4, 1e2)},
-            {"penalty_weights": (-1.0, 1.0)},
+            {"residual_tol": float("inf")},
+            {"residual_tol": float("nan")},
+            {"restarts": True},
+            {"restarts": 2.0},
+            {"max_iterations": 2.5},
+            {"max_iterations": False},
         ],
     )
     def test_rejects_bad_settings(self, kw):
@@ -57,24 +79,23 @@ class TestSearchConfig:
 
 class TestMainSearch:
     def test_recovers_three_stage_optimum(self):
-        out = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE, radius_tol=1e-4)
+        out = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE)
         assert out.converged
         assert out.ssp.coefficient == pytest.approx(1.0, abs=2e-3)
         assert np.max(np.abs(out.residuals)) <= 1e-10
         assert effective_order(out.tableau) >= 3
 
     def test_deterministic_for_fixed_seed(self):
-        a = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE, radius_tol=1e-3)
-        b = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE, radius_tol=1e-3)
+        a = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE)
+        b = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE)
         assert np.array_equal(a.tableau.A, b.tableau.A)
         assert np.array_equal(a.tableau.b, b.tableau.b)
 
     def test_more_restarts_never_hurt(self):
         one = optimize_main(
-            3, EffectiveOrderSpec(3, 2), SearchConfig(restarts=1, seed=0),
-            radius_tol=1e-3,
+            3, EffectiveOrderSpec(3, 2), SearchConfig(restarts=1, seed=0)
         )
-        two = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE, radius_tol=1e-3)
+        two = optimize_main(3, EffectiveOrderSpec(3, 2), COARSE)
         assert two.ssp.coefficient >= one.ssp.coefficient - 1e-12
 
     def test_order_five_returns_zero_coefficient_report(self):
@@ -99,9 +120,7 @@ class TestMainSearch:
 class TestStartStopSearch:
     def test_companions_for_classical_method(self, ssprk33):
         main = wrap(ssprk33, EffectiveOrderSpec(3, 2))
-        out = optimize_start_stop(
-            main, SearchConfig(restarts=1, seed=0), radius_tol=1e-3
-        )
+        out = optimize_start_stop(main, SearchConfig(restarts=1, seed=0))
         assert out.success
         assert out.start.s == 4
         assert out.stop.s == 3
@@ -118,3 +137,68 @@ class TestStartStopSearch:
         main = wrap(ssprk33, EffectiveOrderSpec(3, 2))
         with pytest.raises(DomainError):
             optimize_start_stop(main, start_stages=1)
+
+
+class TestExactJacobians:
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_elementary_weights(self, s):
+        x = np.random.default_rng(s).uniform(-0.5, 1.0, _pack_dim(s))
+
+        def weights(y):
+            A, b = _unpack(y, s)
+            return elementary_weights(ButcherTableau(A=A, b=b))
+
+        assert_jacobian(_weights_jacobian(*_unpack(x, s)), weights, x)
+
+    @pytest.mark.parametrize("q,p", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
+    def test_order_residuals(self, q, p):
+        fun, jac = _main_constraints(5, EffectiveOrderSpec(q, p))
+        x = np.random.default_rng(q + p).uniform(-0.5, 1.0, _pack_dim(5))
+        assert_jacobian(jac(x), fun, x)
+
+    @pytest.mark.parametrize(
+        "stages,n_free", [([2], 0), ([3], 0), ([5], 0), ([4, 3], 2)]
+    )
+    @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])
+    def test_margins_including_radius_column(self, stages, n_free, r):
+        rng = np.random.default_rng(sum(stages))
+        n = sum(_pack_dim(s) for s in stages) + n_free
+        z = np.append(rng.uniform(-0.2, 0.6, n), r)
+        exact = _margins_jacobian(z, stages)
+        assert exact.shape == (_margins(z, stages).size, z.size)
+        assert_jacobian(exact, lambda y: _margins(y, stages), z)
+
+    @pytest.mark.parametrize(
+        "label,q,p",
+        [("ESSPRK(3,3,2)", 3, 2), ("ESSPRK(4,4,2)", 4, 2), ("ESSPRK(4,4,3)", 4, 3)],
+    )
+    def test_start_stop_equalities(self, label, q, p):
+        main = lookup(label).main
+        w = elementary_weights(main)
+        starting = recover_starting_weights(w, EffectiveOrderSpec(q, p))
+        stages = [main.s + 1, main.s]
+        fun, jac = _start_stop_constraints(w, starting, stages, q)
+        n = sum(_pack_dim(s) for s in stages) + len(starting.free)
+        x = np.random.default_rng(main.s).uniform(-0.2, 0.6, n)
+        assert_jacobian(jac(x), fun, x)
+
+
+class TestStartStopForCatalogMains:
+    def test_effective_order_four_main(self):
+        entry = lookup("ESSPRK(4,4,2)")
+        main = wrap(entry.main, EffectiveOrderSpec(4, 2))
+        out = optimize_start_stop(main, SearchConfig(restarts=4, seed=0))
+        assert out.success
+        assert out.worst_residual <= 1e-10
+        assert out.min_radius >= main.ssp.coefficient - 1e-9
+        assert out.starting.free == ()
+        assert len(out.free_weights) == 4
+
+    def test_same_seed_is_bit_identical(self):
+        main = wrap(lookup("ESSPRK(3,3,2)").main, EffectiveOrderSpec(3, 2))
+        a = optimize_start_stop(main, SearchConfig(restarts=2, seed=5))
+        b = optimize_start_stop(main, SearchConfig(restarts=2, seed=5))
+        for x, y in [(a.start, b.start), (a.stop, b.stop)]:
+            assert np.array_equal(x.A, y.A)
+            assert np.array_equal(x.b, y.b)
+        assert np.array_equal(a.free_weights, b.free_weights)
