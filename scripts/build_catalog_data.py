@@ -1,9 +1,11 @@
 """Regenerate the frozen coefficient files under src/essprk/data/.
 
-Published 15-digit tableaux are copied in verbatim; everything else is
-searched with fixed seeds.  A rerun is deterministic and reaches the same
-certified coefficients, but the searched files need not match the shipped
-ones: the searched main method may differ in its low digits, and a
+Published 15-digit tableaux are copied in verbatim, and the DOP853
+tableau behind the van der Pol reference solution is taken from the
+installed scipy (scipy/integrate/_ivp/dop853_coefficients.py); everything
+else is searched with fixed seeds.  A rerun is deterministic and reaches
+the same certified coefficients, but the searched files need not match the
+shipped ones: the searched main method may differ in its low digits, and a
 companion pair, which is not unique, may be a different pair altogether.
 Every written file is checked by loading the catalog from the output
 directory.
@@ -50,6 +52,28 @@ def write(out_dir: Path, name: str, tableau: ButcherTableau) -> None:
     path = out_dir / name
     path.write_bytes(emit_tableau(tableau))
     print(f"  wrote {path}")
+
+
+def dop853() -> ButcherTableau:
+    # the 12 stages that advance the solution; scipy's rows 12-15 only feed
+    # its dense output
+    from scipy.integrate._ivp import dop853_coefficients as coef
+
+    return ButcherTableau(A=coef.A[:12, :12], b=coef.B, label="DOP853")
+
+
+def write_reference_tableau(out_dir: Path) -> None:
+    tableau = dop853()
+    write(out_dir, "dop853.json", tableau)
+    data = (out_dir / "dop853.json").read_bytes()
+    back = parse_tableau(data)
+    if not (
+        np.array_equal(back.A, tableau.A)
+        and np.array_equal(back.b, tableau.b)
+        and emit_tableau(back) == data
+    ):
+        raise SystemExit("dop853.json does not round-trip")
+    print("  DOP853 round-trips bit for bit")
 
 
 def as_outcome(tableau: ButcherTableau, spec: EffectiveOrderSpec) -> MainSearchOutcome:
@@ -148,6 +172,9 @@ def main() -> None:
     init = out_dir / "__init__.py"
     if not init.exists():
         init.write_text("")
+
+    print("reference tableau:")
+    write_reference_tableau(out_dir)
 
     print("published methods:")
     write(out_dir, "essprk_4_4_2.json", published("ESSPRK(4,4,2)", A_442, b_442, q=4, p=2))

@@ -5,7 +5,9 @@ first-order upwind flux on a periodic grid; forward Euler is provably
 total-variation diminishing there up to a known step size, which makes the
 largest oscillation-free step ratio of a composite scheme a measurable
 quantity.  The van der Pol oscillator supplies the smooth convergence
-study, with a step-halving reference solution certified to 1e-11.
+study.  Its reference solution steps the frozen eighth-order DOP853 tableau
+of Dormand and Prince (``data/dop853.json``) with step halving until two
+resolutions agree to 1e-11.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -27,7 +30,7 @@ from .order_conditions import (
     resolve_free_weights,
     start_stop_targets,
 )
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, parse_tableau
 
 __all__ = [
     "BurgersGrid",
@@ -241,12 +244,12 @@ def vdp_ivp() -> IVP:
     return IVP(rhs=_vdp_rhs, u0=np.array([2.0, 1.0]), t0=0.0, tf=VDP_FINAL_TIME)
 
 
-def _classical_rk4() -> ButcherTableau:
-    A = np.zeros((4, 4))
-    A[1, 0] = 0.5
-    A[2, 1] = 0.5
-    A[3, 2] = 1.0
-    return ButcherTableau(A=A, b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]))
+@lru_cache(maxsize=1)
+def _dop853() -> ButcherTableau:
+    # the 12-stage, eighth-order tableau of Dormand and Prince, frozen from
+    # scipy's dop853_coefficients (A[:12, :12] and B)
+    data = resources.files("essprk.data").joinpath("dop853.json").read_bytes()
+    return parse_tableau(data)
 
 
 def reference_solution(
@@ -255,18 +258,18 @@ def reference_solution(
     initial_steps: int = 2048,
     max_doublings: int = 16,
 ) -> np.ndarray:
-    """Final state by fourth-order stepping with certified step halving.
+    """Final state by eighth-order DOP853 stepping with certified step halving.
 
     Doubles the step count until two consecutive resolutions agree to
     ``accuracy`` in the max norm, then returns the finer result (its own
-    error is an order of magnitude below the agreement threshold).
+    error is far below the agreement threshold).
     """
-    rk4 = _classical_rk4()
+    dop853 = _dop853()
     n = initial_steps
-    coarse = run_single(rk4, ivp, n).final
+    coarse = run_single(dop853, ivp, n).final
     for _ in range(max_doublings):
         n *= 2
-        fine = run_single(rk4, ivp, n).final
+        fine = run_single(dop853, ivp, n).final
         if float(np.max(np.abs(fine - coarse))) <= accuracy:
             return fine
         coarse = fine
@@ -297,30 +300,26 @@ def convergence_slope(
     return float(np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)[0])
 
 
-def vdp_convergence(scheme: CompositeScheme):
-    """(step counts, max-norm errors at t=50, fitted slope) for a composite."""
+def _vdp_study(final_state):
+    # final_state(ivp, n) is the state at t=50 after n steps of the method
     ivp = vdp_ivp()
     ref = _vdp_reference()
     ns = np.array(VDP_STEP_COUNTS)
     errors = np.empty(ns.size)
     for i, n in enumerate(ns):
-        final = run_composite(scheme, ivp, int(n)).final
-        errors[i] = float(np.max(np.abs(final - ref)))
+        errors[i] = float(np.max(np.abs(final_state(ivp, int(n)) - ref)))
     slope = convergence_slope(VDP_FINAL_TIME / ns, errors)
     return ns, errors, slope
+
+
+def vdp_convergence(scheme: CompositeScheme):
+    """(step counts, max-norm errors at t=50, fitted slope) for a composite."""
+    return _vdp_study(lambda ivp, n: run_composite(scheme, ivp, n).final)
 
 
 def vdp_single_convergence(tableau: ButcherTableau):
     """Same study but stepping one tableau alone (no start/stop bracket)."""
-    ivp = vdp_ivp()
-    ref = _vdp_reference()
-    ns = np.array(VDP_STEP_COUNTS)
-    errors = np.empty(ns.size)
-    for i, n in enumerate(ns):
-        final = run_single(tableau, ivp, int(n)).final
-        errors[i] = float(np.max(np.abs(final - ref)))
-    slope = convergence_slope(VDP_FINAL_TIME / ns, errors)
-    return ns, errors, slope
+    return _vdp_study(lambda ivp, n: run_single(tableau, ivp, n).final)
 
 
 # ---- direct perturbation methods (negative weights, for the TVD contrast) ----

@@ -191,14 +191,21 @@ def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     return w
 
 
+def _finite(tableau: ButcherTableau) -> bool:
+    return bool(np.isfinite(tableau.A).all() and np.isfinite(tableau.b).all())
+
+
 def classical_order(
     tableau: ButcherTableau, tol: float = DEFAULT_ORDER_TOL
 ) -> OrderEstimate:
     """Largest p <= 5 with every weight of order <= p matching the exact flow.
 
     Returns an :class:`OrderEstimate`; ``saturated`` marks that all checked
-    conditions passed, so the true order may exceed five.
+    conditions passed, so the true order may exceed five.  A tableau with a
+    non-finite entry has order 0.
     """
+    if not _finite(tableau):
+        return OrderEstimate(0)
     w = elementary_weights(tableau)
     target = np.zeros(N_TREES)
     target[1:] = 1.0 / TREE_DENSITY[1:]
@@ -285,7 +292,10 @@ def effective_order(
     weight plus one combined condition; five adds the order-five chain and
     four combined conditions quadratic in the implied order-two starting
     weight.  Classical order conditions imply these, never the reverse.
+    A tableau with a non-finite entry has effective order 0.
     """
+    if not _finite(tableau):
+        return OrderEstimate(0)
     w = elementary_weights(tableau)
     gates = [
         [w[1] - 1.0],
@@ -309,7 +319,8 @@ def effective_order(
     )
     order = 0
     for gate in gates:
-        if max(abs(g) for g in gate) > tol:
+        # written so that a NaN residual fails the gate
+        if not all(abs(g) <= tol for g in gate):
             break
         order += 1
     return OrderEstimate(order, saturated=(order == 5))
@@ -330,7 +341,7 @@ def recover_starting_weights(
     w = np.asarray(weights, dtype=float)
     res = effective_order_residuals(w, spec)
     worst = float(np.max(np.abs(res)))
-    if worst > tol:
+    if not worst <= tol:
         raise OrderConditionsInfeasible(
             "main method does not satisfy effective order conditions "
             f"(worst residual {worst:.3e} for q={spec.q}, p={spec.p})",
@@ -551,14 +562,14 @@ def order5_barrier_witness(
     the quantitative version.
     """
     b = tableau.b
-    if np.any(b <= 0.0):
+    if not np.all(b > 0.0):
         raise DomainError("barrier applies only to positive weights")
     c = tableau.c
     v = 0.5 * c * c - tableau.A @ c
     mean = float(b @ v)
     square = float(b @ (v * v))
     gap = mean * mean - square
-    nonzero = bool(np.max(np.abs(v)) > tol)
+    nonzero = not np.max(np.abs(v)) <= tol
     if nonzero:
         note = (
             "stage defect is nonzero, so these weights admit no effective "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import TableauParseError
+from .errors import DomainError, TableauParseError
 
 ROW_SUM_TOL = 1e-13
 
@@ -156,18 +156,60 @@ def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
         A = solve_triangular(M, be[:s], lower=True, unit_diagonal=True)
     except Exception as exc:  # pragma: no cover - defensive
         raise ValueError("non-explicit Shu-Osher form") from exc
-    b = be[s] + al[s] @ A
+    # finite forms can still overflow here, e.g. with entries near 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = be[s] + al[s] @ A
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise DomainError("Shu-Osher form converts to a non-finite tableau")
     return ButcherTableau(A=A, b=b, label=label, q=q, p=p)
 
 
-def _as_float_matrix(obj, name, rows, cols):
+def _is_int(value) -> bool:
+    # a JSON true/false arrives as a bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_document(text: bytes | str):
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise TableauParseError(f"not UTF-8 text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise TableauParseError(f"malformed JSON: {exc}") from exc
+
+
+def _stage_count(doc) -> int:
+    if not isinstance(doc, dict):
+        raise TableauParseError("top level must be an object")
+    if "s" not in doc:
+        raise TableauParseError("field 's' missing")
+    s = doc["s"]
+    if not _is_int(s) or s < 1:
+        raise TableauParseError("field 's' must be a positive integer")
+    return s
+
+
+def _numeric_field(obj, name: str, shape: tuple) -> np.ndarray:
+    """The field as a float array of the given shape with finite entries.
+
+    Every entry must be a JSON number: strings, booleans and nulls are
+    rejected even where numpy would convert them, and so are NaN and the
+    infinities, which Python's json module accepts.
+    """
     try:
         arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TableauParseError(f"field '{name}' is not numeric") from exc
-    if arr.shape != (rows, cols):
+    if arr.shape != shape:
         raise TableauParseError(
-            f"field '{name}' has shape {arr.shape}, expected ({rows}, {cols})")
+            f"field '{name}' has shape {arr.shape}, expected {shape}")
+    entries = obj if len(shape) == 1 else [x for row in obj for x in row]
+    if not all(type(x) in (int, float) for x in entries):
+        raise TableauParseError(f"field '{name}' is not numeric")
+    if not np.isfinite(arr).all():
+        raise TableauParseError(f"field '{name}' has a non-finite entry")
     return arr
 
 
@@ -175,31 +217,17 @@ def parse_tableau(text: bytes | str) -> ButcherTableau:
     """Read a tableau JSON document.
 
     Expected shape: {"label": str, "s": int, "A": [[...]], "b": [...],
-    "q": int|null, "p": int|null}.  Rejects non-explicit A.
+    "q": int|null, "p": int|null}.  Rejects non-explicit A and non-finite
+    or non-numeric entries; any malformed input raises TableauParseError.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableauParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TableauParseError("top level must be an object")
-    try:
-        s = doc["s"]
-    except KeyError:
-        raise TableauParseError("field 's' missing") from None
-    if not isinstance(s, int) or s < 1:
-        raise TableauParseError("field 's' must be a positive integer")
+    doc = _load_document(text)
+    s = _stage_count(doc)
     if "A" not in doc:
         raise TableauParseError("field 'A' missing")
     if "b" not in doc:
         raise TableauParseError("field 'b' missing")
-    A = _as_float_matrix(doc["A"], "A", s, s)
-    b = np.array(doc["b"], dtype=float)
-    if b.shape != (s,):
-        raise TableauParseError(
-            f"field 'b' has shape {b.shape}, expected ({s},)")
+    A = _numeric_field(doc["A"], "A", (s, s))
+    b = _numeric_field(doc["b"], "b", (s,))
     if np.any(np.triu(A) != 0.0):
         i, j = [int(k[0]) for k in np.nonzero(np.triu(A))]
         raise TableauParseError(
@@ -209,7 +237,7 @@ def parse_tableau(text: bytes | str) -> ButcherTableau:
         raise TableauParseError("field 'label' must be a string or null")
     q, p = doc.get("q"), doc.get("p")
     for nm, val in (("q", q), ("p", p)):
-        if val is not None and not isinstance(val, int):
+        if val is not None and not _is_int(val):
             raise TableauParseError(f"field '{nm}' must be an integer or null")
     return ButcherTableau(A=A, b=b, label=label, q=q, p=p)
 
@@ -239,26 +267,20 @@ def emit_tableau(tableau: ButcherTableau) -> bytes:
 
 
 def parse_shu_osher(text: bytes | str) -> ShuOsherForm:
-    """Read a Shu-Osher JSON document {"s", "v", "alpha", "beta"}."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Read a Shu-Osher JSON document {"s", "v", "alpha", "beta"}.
+
+    Any malformed input, including a form that is not explicit or whose
+    rows do not satisfy v + sum(alpha) = 1, raises TableauParseError.
+    """
+    doc = _load_document(text)
+    s = _stage_count(doc)
+    v = _numeric_field(doc.get("v"), "v", (s + 1,))
+    alpha = _numeric_field(doc.get("alpha"), "alpha", (s + 1, s))
+    beta = _numeric_field(doc.get("beta"), "beta", (s + 1, s))
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableauParseError(f"malformed JSON: {exc}") from exc
-    try:
-        s = doc["s"]
-    except (KeyError, TypeError):
-        raise TableauParseError("field 's' missing") from None
-    if not isinstance(s, int) or s < 1:
-        raise TableauParseError("field 's' must be a positive integer")
-    v = np.array(doc.get("v"), dtype=float)
-    if v.shape != (s + 1,):
-        raise TableauParseError(
-            f"field 'v' has shape {v.shape}, expected ({s + 1},)")
-    alpha = _as_float_matrix(doc.get("alpha"), "alpha", s + 1, s)
-    beta = _as_float_matrix(doc.get("beta"), "beta", s + 1, s)
-    return ShuOsherForm(v=v, alpha=alpha, beta=beta)
+        return ShuOsherForm(v=v, alpha=alpha, beta=beta)
+    except ValueError as exc:
+        raise TableauParseError(f"invalid Shu-Osher form: {exc}") from exc
 
 
 def emit_shu_osher(form: ShuOsherForm) -> bytes:

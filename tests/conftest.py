@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,63 @@ def make_random_tableau(rng, s, nonnegative=True):
     b = rng.uniform(0.05, 1.0, s)
     b = b / b.sum()
     return ButcherTableau(A=A, b=b)
+
+
+def _tableau_doc(**fields):
+    # Heun's method as a tableau document
+    doc = {"label": "", "s": 2, "A": [[0.0, 0.0], [1.0, 0.0]],
+           "b": [0.5, 0.5], "q": None, "p": None}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def _shu_osher_doc(**fields):
+    # Heun's method in Shu-Osher form: u1 = u + dt F(u),
+    # u+ = u/2 + (u1 + dt F(u1))/2
+    doc = {"s": 2, "v": [1.0, 0.0, 0.5],
+           "alpha": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]],
+           "beta": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Malformed documents that parse_tableau / parse_shu_osher must reject, by
+# kind; each entry is (form, JSON text).  json.dumps writes NaN and the
+# infinities as the bare tokens Python's json module reads back.
+MALFORMED_DOCUMENTS = {
+    "non_finite": [
+        ("tableau", _tableau_doc(A=[[0.0, 0.0], [NAN, 0.0]])),
+        ("tableau", _tableau_doc(A=[[0.0, 0.0], [INF, 0.0]])),
+        ("tableau", _tableau_doc(b=[-INF, 0.5])),
+        ("tableau", _tableau_doc(b=[0.5, NAN])),
+        ("tableau", _tableau_doc().replace("[0.5, 0.5]", "[0.5, 1e400]")),
+        ("shu_osher", _shu_osher_doc(v=[1.0, NAN, 0.5])),
+        ("shu_osher", _shu_osher_doc(alpha=[[0.0, 0.0], [INF, 0.0], [0.0, 0.5]])),
+        ("shu_osher", _shu_osher_doc(beta=[[0.0, 0.0], [1.0, 0.0], [0.0, NAN]])),
+    ],
+    "bool_field": [
+        ("tableau", _tableau_doc(s=True, A=[[0.0]], b=[1.0])),
+        ("tableau", _tableau_doc(q=True)),
+        ("tableau", _tableau_doc(p=False)),
+        ("shu_osher", _shu_osher_doc(s=True)),
+    ],
+    "non_numeric": [
+        ("tableau", _tableau_doc(b=["x", 0.5])),
+        ("tableau", _tableau_doc(b=["0.5", 0.5])),
+        ("tableau", _tableau_doc(b=[None, 0.5])),
+        ("tableau", _tableau_doc(A=[[0.0, 0.0], [True, 0.0]])),
+        ("shu_osher", _shu_osher_doc(v=[1.0, "x", 0.5])),
+    ],
+    "shu_osher_invalid": [
+        # v + sum(alpha) = 1.25 on the update row
+        ("shu_osher", _shu_osher_doc(v=[1.0, 0.0, 0.75])),
+        # stage 1 uses itself through alpha, and through beta
+        ("shu_osher", _shu_osher_doc(
+            v=[1.0, -0.5, 0.5],
+            alpha=[[0.0, 0.0], [1.0, 0.5], [0.0, 0.5]])),
+        ("shu_osher", _shu_osher_doc(
+            beta=[[0.0, 0.0], [1.0, 0.5], [0.0, 0.5]])),
+    ],
+}

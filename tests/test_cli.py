@@ -11,6 +11,8 @@ from essprk.cli import main
 from essprk.methods import catalog
 from essprk.tableau import ButcherTableau, emit_tableau
 
+from conftest import MALFORMED_DOCUMENTS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -69,6 +71,33 @@ class TestCheck:
         assert doc["stages"] == 10
         assert doc["effective_order"] == 4
         assert doc["ssp_coefficient"] == pytest.approx(6.0, abs=1e-6)
+
+
+class TestMalformedFiles:
+    """Each kind of malformed file ends as `error: ...` with exit code 1."""
+
+    @staticmethod
+    def assert_rejected(capsys, tmp_path, kind):
+        for k, (_, text) in enumerate(MALFORMED_DOCUMENTS[kind]):
+            path = tmp_path / f"{kind}-{k}.json"
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "check", str(path))
+            assert code == 1, text
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+    def test_non_finite_entry(self, capsys, tmp_path):
+        self.assert_rejected(capsys, tmp_path, "non_finite")
+
+    def test_bool_stage_count_or_order_tag(self, capsys, tmp_path):
+        self.assert_rejected(capsys, tmp_path, "bool_field")
+
+    def test_non_numeric_entry(self, capsys, tmp_path):
+        self.assert_rejected(capsys, tmp_path, "non_numeric")
+
+    def test_invalid_shu_osher_form(self, capsys, tmp_path):
+        self.assert_rejected(capsys, tmp_path, "shu_osher_invalid")
 
 
 class TestSsp:

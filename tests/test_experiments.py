@@ -1,10 +1,13 @@
 """Burgers total-variation experiments and van der Pol convergence."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from essprk import experiments
 from essprk.errors import DomainError, EssprkError
 from essprk.experiments import (
     BurgersGrid,
@@ -20,6 +23,8 @@ from essprk.experiments import (
 )
 from essprk.integrator import IVP, composite_from_entry, rk_step
 from essprk.methods import lookup
+from essprk.order_conditions import classical_order
+from essprk.tableau import emit_tableau, parse_tableau
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +249,35 @@ class TestReferenceSolution:
         ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
         with pytest.raises(EssprkError, match="did not converge"):
             reference_solution(ivp, max_doublings=0)
+
+
+class TestDop853Reference:
+    # final state of the van der Pol problem as certified by classical RK4
+    # with step halving (522 240 steps), before the reference moved to DOP853
+    RK4_REFERENCE = np.array([-2.0196202305995876, -0.03421831109467063])
+
+    @staticmethod
+    def data_file() -> bytes:
+        return resources.files("essprk.data").joinpath("dop853.json").read_bytes()
+
+    def test_matches_installed_scipy_coefficients(self):
+        coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        t = parse_tableau(self.data_file())
+        assert t.label == "DOP853"
+        assert np.array_equal(t.A, coef.A[:12, :12])
+        assert np.array_equal(t.b, coef.B)
+
+    def test_file_round_trips_byte_for_byte(self):
+        data = self.data_file()
+        assert emit_tableau(parse_tableau(data)) == data
+
+    def test_classical_order_saturated(self):
+        order = classical_order(parse_tableau(self.data_file()))
+        assert order == 5 and order.saturated
+
+    def test_van_der_pol_reference_matches_rk4_certificate(self):
+        ref = experiments._vdp_reference()
+        assert np.max(np.abs(ref - self.RK4_REFERENCE)) <= 1e-12
 
 
 class TestSlopeFit:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essprk.errors import DomainError, OrderConditionsInfeasible
+from essprk import order_conditions
 from essprk.methods import essprk_332, essprk_432
 from essprk.order_conditions import (
     DEFAULT_ORDER_TOL,
@@ -24,6 +25,8 @@ from essprk.order_conditions import (
     resolve_free_weights,
     start_stop_targets,
 )
+
+from essprk.tableau import ButcherTableau
 
 from conftest import make_random_tableau
 
@@ -222,6 +225,46 @@ class TestConjugacy:
         sw = StartingWeights(v, free=(3,))
         res = conjugacy_residuals(np.ones(N_TREES), sw, 3)
         assert np.isfinite(res[[1, 2, 4]]).all()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_nan_entry_has_order_zero(self, rk4, where):
+        A, b = rk4.A.copy(), rk4.b.copy()
+        if where == "A":
+            A[3, 2] = np.nan
+        else:
+            b[2] = np.nan
+        t = ButcherTableau(A=A, b=b)
+        assert effective_order(t) == 0
+        assert not effective_order(t).saturated
+        assert classical_order(t) == 0
+
+    def test_nan_weight_fails_its_gate(self, rk4, monkeypatch):
+        # a NaN first in the order-four gate must stop the ladder at three
+        w = elementary_weights(rk4).copy()
+        w[8] = np.nan
+        monkeypatch.setattr(order_conditions, "elementary_weights", lambda t: w)
+        assert effective_order(rk4) == 3
+
+    @pytest.mark.parametrize("spec", [EffectiveOrderSpec(3, 2), EffectiveOrderSpec(4, 3)])
+    def test_recover_starting_weights_rejects_nan(self, rk4, spec):
+        w = elementary_weights(rk4).copy()
+        w[2] = np.nan
+        with pytest.raises(OrderConditionsInfeasible):
+            recover_starting_weights(w, spec)
+
+    def test_barrier_rejects_nan_weight(self, rk4):
+        t = ButcherTableau(A=rk4.A, b=np.array([0.25, np.nan, 0.25, 0.5]))
+        with pytest.raises(DomainError, match="positive"):
+            order5_barrier_witness(t)
+
+    def test_barrier_never_reads_nan_defect_as_zero(self, rk4):
+        A = rk4.A.copy()
+        A[2, 1] = np.nan
+        wit = order5_barrier_witness(ButcherTableau(A=A, b=rk4.b))
+        assert wit.conclusive
+        assert "inconclusive" not in wit.note
 
 
 class TestBarrier:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essprk.errors import TableauParseError
+from essprk.errors import DomainError, TableauParseError
 from essprk.tableau import (
     ButcherTableau,
     ShuOsherForm,
@@ -20,7 +20,7 @@ from essprk.tableau import (
     validate,
 )
 
-from conftest import make_random_tableau
+from conftest import MALFORMED_DOCUMENTS, make_random_tableau
 
 
 def classic_shu_osher_33():
@@ -167,3 +167,80 @@ class TestTableauFiles:
         back = parse_tableau(emit_tableau(t))
         assert np.array_equal(back.A, t.A)
         assert np.array_equal(back.b, t.b)
+
+
+PARSERS = {"tableau": parse_tableau, "shu_osher": parse_shu_osher}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestParserTotality:
+    @pytest.mark.parametrize(
+        "kind, match",
+        [
+            ("non_finite", "non-finite"),
+            ("bool_field", "integer"),
+            ("non_numeric", "not numeric"),
+            ("shu_osher_invalid", "invalid Shu-Osher form"),
+        ],
+    )
+    def test_known_malformed_kinds_rejected(self, kind, match):
+        for form, text in MALFORMED_DOCUMENTS[kind]:
+            with pytest.raises(TableauParseError, match=match):
+                PARSERS[form](text)
+
+    def test_undecodable_bytes_rejected(self):
+        for parse in PARSERS.values():
+            with pytest.raises(TableauParseError, match="UTF-8"):
+                parse(b"\xff\xfe{")
+
+    def test_deep_nesting_rejected(self):
+        for parse in PARSERS.values():
+            with pytest.raises(TableauParseError, match="malformed JSON"):
+                parse("[" * 100_000 + "]" * 100_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        form=st.sampled_from(["tableau", "shu_osher"]),
+        field=st.sampled_from(["s", "A", "b", "q", "p", "v", "alpha", "beta"]),
+        value=_json_values,
+    )
+    def test_any_field_value_parses_finite_or_raises(self, form, field, value):
+        so = classic_shu_osher_33()
+        if form == "tableau":
+            doc = json.loads(emit_tableau(shu_osher_to_butcher(so)))
+        else:
+            doc = json.loads(emit_shu_osher(so))
+        doc[field] = value
+        try:
+            out = PARSERS[form](json.dumps(doc))
+        except TableauParseError:
+            return
+        arrays = (out.A, out.b) if form == "tableau" else (out.v, out.alpha, out.beta)
+        assert all(np.isfinite(a).all() for a in arrays)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_any_bytes_parse_or_raise(self, data):
+        for parse in PARSERS.values():
+            try:
+                parse(data)
+            except TableauParseError:
+                pass
+
+    def test_overflowing_conversion_rejected(self):
+        # every entry is finite, but the update row overflows to -inf
+        v = np.array([1.0, 1.0, 1.0])
+        alpha = np.zeros((3, 2))
+        beta = np.zeros((3, 2))
+        alpha[2] = [1e308, -1e308]
+        beta[1, 0] = 1e308
+        beta[2, 0] = 1e308
+        form = ShuOsherForm(v=v, alpha=alpha, beta=beta)
+        with pytest.raises(DomainError, match="non-finite"):
+            shu_osher_to_butcher(form)
