@@ -78,9 +78,20 @@ def _resolve(target: str):
     except TableauParseError as tableau_error:
         try:
             form = parse_shu_osher(data)
-        except TableauParseError:
-            raise tableau_error from None
+        except TableauParseError as shu_osher_error:
+            # report the parser of the form the document declares
+            raise (
+                shu_osher_error if _has_alpha(data) else tableau_error
+            ) from None
         return shu_osher_to_butcher(form, label=path.stem), None
+
+
+def _has_alpha(data: bytes) -> bool:
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(doc, dict) and "alpha" in doc
 
 
 def _composite_or_single(args):
@@ -142,25 +153,29 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_ssp(args) -> int:
-    tableau, _ = _resolve(args.target)
+def _ssp_payload(tableau, label: str) -> dict:
+    """The ``ssp`` report; a non-finite worst entry is written as null."""
     result = ssp_coefficient(tableau)
     certificate = result.certificate
-    _emit_json(
-        {
-            "label": tableau.label or args.target,
-            "stages": tableau.b.size,
-            "coefficient": result.coefficient,
-            "effective_coefficient": result.effective_coefficient,
-            "bracket": list(result.bracket),
-            "certificate": {
-                "feasible": certificate.feasible,
-                "radius": certificate.radius,
-                "worst_entry": certificate.worst_entry,
-                "worst_index": list(certificate.worst_index),
-            },
-        }
-    )
+    worst = certificate.worst_entry
+    return {
+        "label": label,
+        "stages": tableau.b.size,
+        "coefficient": result.coefficient,
+        "effective_coefficient": result.effective_coefficient,
+        "bracket": list(result.bracket),
+        "certificate": {
+            "feasible": certificate.feasible,
+            "radius": certificate.radius,
+            "worst_entry": worst if math.isfinite(worst) else None,
+            "worst_index": list(certificate.worst_index),
+        },
+    }
+
+
+def _cmd_ssp(args) -> int:
+    tableau, _ = _resolve(args.target)
+    _emit_json(_ssp_payload(tableau, tableau.label or args.target))
     return 0
 
 

@@ -4,10 +4,13 @@ The advection test discretizes the inviscid Burgers equation with a
 first-order upwind flux on a periodic grid; forward Euler is provably
 total-variation diminishing there up to a known step size, which makes the
 largest oscillation-free step ratio of a composite scheme a measurable
-quantity.  The van der Pol oscillator supplies the smooth convergence
-study.  Its reference solution steps the frozen eighth-order DOP853 tableau
-of Dormand and Prince (``data/dop853.json``) with step halving until two
-resolutions agree to 1e-11.
+quantity.  Every run reads the total variation after each step from one
+generator; the bisection for that ratio stops each probe at the first
+increase, which already settles its verdict.  The van der Pol oscillator
+supplies the smooth convergence study.  Its reference solution steps the
+frozen eighth-order DOP853 tableau of Dormand and Prince
+(``data/dop853.json``) with step halving until two resolutions agree to
+1e-11.
 """
 
 from __future__ import annotations
@@ -16,12 +19,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, EssprkError, NonFiniteState
-from .integrator import IVP, CompositeScheme, composite_steps, run_composite, run_single
+from .integrator import (
+    IVP,
+    CompositeScheme,
+    _steps,
+    composite_steps,
+    run_composite,
+    run_single,
+)
 from .order_conditions import (
     EffectiveOrderSpec,
     classical_order,
@@ -91,14 +102,21 @@ class BurgersGrid:
 
 def burgers_rhs(grid: BurgersGrid):
     """Upwind semi-discretization of u_t + (u^2/2)_x = 0, periodic."""
-    inv_dx = 1.0 / grid.dx
+    scale = -1.0 / grid.dx
 
     def rhs(u: np.ndarray) -> np.ndarray:
         # overflow is allowed to produce inf here; the stepper turns
         # non-finite states into a diagnosed failure
         with np.errstate(over="ignore", invalid="ignore"):
-            flux = 0.5 * u * u
-            return -(flux - np.roll(flux, 1)) * inv_dx
+            flux = 0.5 * u
+            flux *= u
+            # (flux[i] - flux[i-1]) * (-1/dx) is -(flux[i] - flux[i-1]) / dx
+            # bit for bit, the sign of a zero difference included
+            out = np.empty_like(flux)
+            np.subtract(flux[1:], flux[:-1], out=out[1:])
+            np.subtract(flux[:1], flux[-1:], out=out[:1])
+            out *= scale
+            return out
 
     return rhs
 
@@ -116,7 +134,9 @@ def total_variation(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise DomainError("need a vector of length at least 2")
-    return float(np.sum(np.abs(np.diff(u))) + abs(u[0] - u[-1]))
+    d = u[1:] - u[:-1]
+    np.abs(d, out=d)
+    return float(np.sum(d) + abs(u[0] - u[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +155,36 @@ class TVDReport:
         object.__setattr__(self, "tv_series", tv)
 
 
+def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float):
+    # n = ceil(tf / dt) steps at dt = sigma * dt_fe, ending at n * dt >= tf
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not tf > 0.0:
+        raise DomainError(f"final time must be positive, got {tf}")
+    dt = sigma * dt_fe(grid)
+    n = math.ceil(tf / dt)
+    ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)
+    return ivp, n
+
+
+def _variations(steps) -> Iterator[float]:
+    """Total variation of each state a step generator yields, in order."""
+    for _, _, u in steps:
+        yield total_variation(u)
+
+
+def _tvd_report(steps, sigma: float, ivp: IVP, n: int, tv_tol: float) -> TVDReport:
+    tv = np.fromiter(_variations(steps), dtype=float, count=n + 1)
+    max_increase = float(np.max(np.diff(tv)))
+    return TVDReport(
+        sigma=sigma,
+        tv_series=tv,
+        monotone=bool(max_increase <= tv_tol),
+        max_increase=max_increase,
+        final_time=ivp.tf,
+    )
+
+
 def run_tvd(
     scheme: CompositeScheme,
     grid: BurgersGrid,
@@ -148,25 +198,8 @@ def run_tvd(
     with the step size held exactly at sigma times the forward Euler limit;
     the exact final time is reported.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not tf > 0.0:
-        raise DomainError(f"final time must be positive, got {tf}")
-    dt = sigma * dt_fe(grid)
-    n = math.ceil(tf / dt)
-    ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)
-    tv = np.empty(n + 1)
-    for k, _, u in composite_steps(scheme, ivp, n):
-        tv[k] = total_variation(u)
-    increases = np.diff(tv)
-    max_increase = float(np.max(increases))
-    return TVDReport(
-        sigma=sigma,
-        tv_series=tv,
-        monotone=bool(max_increase <= tv_tol),
-        max_increase=max_increase,
-        final_time=n * dt,
-    )
+    ivp, n = _burgers_ivp(grid, sigma, tf)
+    return _tvd_report(composite_steps(scheme, ivp, n), sigma, ivp, n, tv_tol)
 
 
 def run_tvd_single(
@@ -177,23 +210,31 @@ def run_tvd_single(
     tv_tol: float = TV_TOL,
 ) -> TVDReport:
     """Same accounting as run_tvd but stepping one method with no bracket."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not tf > 0.0:
-        raise DomainError(f"final time must be positive, got {tf}")
-    dt = sigma * dt_fe(grid)
-    n = math.ceil(tf / dt)
-    ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)
-    traj = run_single(tableau, ivp, n, observe_at="all")
-    tv = np.array([total_variation(u) for u in traj.states])
-    max_increase = float(np.max(np.diff(tv)))
-    return TVDReport(
-        sigma=sigma,
-        tv_series=tv,
-        monotone=bool(max_increase <= tv_tol),
-        max_increase=max_increase,
-        final_time=n * dt,
-    )
+    ivp, n = _burgers_ivp(grid, sigma, tf)
+    steps = _steps(tableau, tableau, tableau, ivp, n)
+    return _tvd_report(steps, sigma, ivp, n, tv_tol)
+
+
+def _monotone_at(
+    scheme: CompositeScheme, grid: BurgersGrid, sigma: float, tf: float
+) -> bool:
+    """``run_tvd(scheme, grid, sigma, tf).monotone``, or False on blow-up.
+
+    Stops stepping at the first total-variation increase, which settles
+    the verdict; a blown-up run is a monotonicity failure, not an error.
+    """
+    ivp, n = _burgers_ivp(grid, sigma, tf)
+    try:
+        variations = _variations(composite_steps(scheme, ivp, n))
+        previous = next(variations)
+        for tv in variations:
+            # written so that a NaN increase fails, as in run_tvd
+            if not tv - previous <= TV_TOL:
+                return False
+            previous = tv
+    except NonFiniteState:
+        return False
+    return True
 
 
 def max_tvd_sigma(
@@ -206,27 +247,21 @@ def max_tvd_sigma(
 
     Bisection over sigma starting from the bracket [C/2, 2C] around the
     certified coefficient; returns the upper bracket outright in the
-    (never observed) case that 2C still shows no increase.
+    (never observed) case that 2C still shows no increase.  Each probe
+    is the verdict of :func:`run_tvd` at default tolerance, but stops
+    stepping at the first increase or blow-up.
     """
     C = scheme.coefficient
-
-    def monotone_at(sigma: float) -> bool:
-        # a blown-up run is a monotonicity failure, not an error
-        try:
-            return run_tvd(scheme, grid, sigma, tf).monotone
-        except NonFiniteState:
-            return False
-
     lo, hi = 0.5 * C, 2.0 * C
-    if not monotone_at(lo):
+    if not _monotone_at(scheme, grid, lo, tf):
         raise EssprkError(
             "spatial discretization not TVD at half the SSP coefficient"
         )
-    if monotone_at(hi):
+    if _monotone_at(scheme, grid, hi, tf):
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if monotone_at(mid):
+        if _monotone_at(scheme, grid, mid, tf):
             lo = mid
         else:
             hi = mid

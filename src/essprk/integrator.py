@@ -156,13 +156,21 @@ def rk_step(
     A, b, s = tableau.A, tableau.b, tableau.s
     slopes = np.empty((s,) + u.shape)
     for i in range(s):
-        stage = u if i == 0 else u + dt * (A[i, :i] @ slopes[:i])
+        if i == 0:
+            stage = u
+        else:
+            # u + dt * (A[i, :i] @ slopes[:i]), formed in one buffer
+            stage = A[i, :i] @ slopes[:i]
+            stage *= dt
+            stage += u
         slopes[i] = rhs(stage)
         if not np.isfinite(slopes[i]).all():
             raise NonFiniteState(
                 f"stage {i} produced a non-finite value", stage=i
             )
-    out = u + dt * (b @ slopes)
+    out = b @ slopes
+    out *= dt
+    out += u
     if not np.isfinite(out).all():
         raise NonFiniteState("step update produced a non-finite value")
     return out
@@ -231,6 +239,21 @@ def _normalize_observe(observe_at, n: int, composite: bool):
     return out
 
 
+def _steps(start, main, stop, ivp: IVP, n: int):
+    """Yield (step, time, state) from u0 through n uniform steps.
+
+    Step 1 takes ``start``, step n takes ``stop`` and every other step
+    ``main``; a single method is the schedule with itself in all three.
+    """
+    dt = (ivp.tf - ivp.t0) / n
+    u = ivp.u0
+    yield 0, ivp.t0, u
+    for k in range(1, n + 1):
+        tab = start if k == 1 else stop if k == n else main
+        u = _tagged_step(tab, ivp.rhs, u, dt, k)
+        yield k, ivp.t0 + k * dt, u
+
+
 def run_single(
     tableau: ButcherTableau,
     ivp: IVP,
@@ -245,16 +268,9 @@ def run_single(
     if n < 1:
         raise DomainError(f"need at least one step, got {n}")
     obs = _normalize_observe(observe_at, n, composite=False)
-    dt = (ivp.tf - ivp.t0) / n
-    u = ivp.u0
-    records = []
-    if 0 in obs:
-        records.append((0, ivp.t0, u))
-    for k in range(1, n + 1):
-        u = _tagged_step(tableau, ivp.rhs, u, dt, k)
-        if k in obs:
-            records.append((k, ivp.t0 + k * dt, u))
-    return _pack(records)
+    return _pack(
+        [r for r in _steps(tableau, tableau, tableau, ivp, n) if r[0] in obs]
+    )
 
 
 def composite_steps(
@@ -268,13 +284,7 @@ def composite_steps(
     """
     if n < 3:
         raise DomainError("composite scheme requires at least 3 steps")
-    dt = (ivp.tf - ivp.t0) / n
-    u = ivp.u0
-    yield 0, ivp.t0, u
-    for k in range(1, n + 1):
-        tab = scheme.start if k == 1 else scheme.stop if k == n else scheme.main
-        u = _tagged_step(tab, ivp.rhs, u, dt, k)
-        yield k, ivp.t0 + k * dt, u
+    yield from _steps(scheme.start, scheme.main, scheme.stop, ivp, n)
 
 
 def run_composite(

@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from essprk.cli import main
+from essprk.cli import _ssp_payload, main
+from essprk.errors import TableauParseError
 from essprk.methods import catalog
-from essprk.tableau import ButcherTableau, emit_tableau
+from essprk.tableau import ButcherTableau, emit_tableau, parse_shu_osher
 
-from conftest import MALFORMED_DOCUMENTS
+from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,23 @@ class TestMalformedFiles:
     def test_invalid_shu_osher_form(self, capsys, tmp_path):
         self.assert_rejected(capsys, tmp_path, "shu_osher_invalid")
 
+    def test_shu_osher_file_reports_its_own_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad-v.json"
+        path.write_text(_shu_osher_doc(v=[1.0, "x", 0.0]))
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert err == "error: field 'v' is not numeric\n"
+        for kind, documents in MALFORMED_DOCUMENTS.items():
+            for k, (form, text) in enumerate(documents):
+                if form != "shu_osher":
+                    continue
+                with pytest.raises(TableauParseError) as info:
+                    parse_shu_osher(text)
+                path = tmp_path / f"{kind}-{k}.json"
+                path.write_text(text)
+                _, _, err = run_cli(capsys, "check", str(path))
+                assert err == f"error: {info.value}\n"
+
 
 class TestSsp:
     def test_bracket_and_certificate(self, capsys):
@@ -117,6 +135,15 @@ class TestSsp:
         doc = json.loads(out)
         assert doc["coefficient"] == 0.0
         assert doc["certificate"]["feasible"] is False
+
+    def test_non_finite_certificate_serializes(self):
+        tableau = ButcherTableau(
+            A=np.array([[0.0, 0.0], [np.nan, 0.0]]), b=np.array([0.5, 0.5])
+        )
+        doc = json.loads(json.dumps(_ssp_payload(tableau, "nan"), allow_nan=False))
+        assert doc["coefficient"] == 0.0
+        assert doc["certificate"]["feasible"] is False
+        assert doc["certificate"]["worst_entry"] is None
 
 
 class TestOptimize:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essprk import experiments
-from essprk.errors import DomainError, EssprkError
+from essprk.errors import DomainError, EssprkError, NonFiniteState
 from essprk.experiments import (
     BurgersGrid,
     burgers_rhs,
@@ -78,7 +78,31 @@ class TestGrid:
             BurgersGrid(initial_profile="sawtooth")
 
 
+def same_bits(a, b):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 class TestUpwindRhs:
+    @pytest.mark.parametrize("overflow", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_roll_formula_bit_for_bit(self, seed, overflow):
+        rng = np.random.default_rng(seed)
+        grid = BurgersGrid(m=4000)
+        u = rng.normal(size=grid.m) * 10.0 ** rng.uniform(-3.0, 3.0, grid.m)
+        # zero differences, whose sign must survive, and signed zeros
+        u[1000:1100] = 1.5
+        u[rng.integers(0, grid.m, 200)] = 0.0
+        u[rng.integers(0, grid.m, 200)] = -0.0
+        if overflow:
+            u[rng.integers(0, grid.m, 300)] = rng.choice([1e200, -1e200, 1e160], 300)
+            u[2000:2010] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = 0.5 * u * u
+            expected = -(f - np.roll(f, 1)) * (1.0 / grid.dx)
+        assert same_bits(burgers_rhs(grid)(u), expected)
+
     def test_constant_state_is_steady(self, continuous_grid):
         rhs = burgers_rhs(continuous_grid)
         np.testing.assert_array_equal(rhs(np.full(200, 2.0)), np.zeros(200))
@@ -146,6 +170,12 @@ class TestTotalVariation:
     def test_constant(self):
         assert total_variation(np.full(7, 3.25)) == 0.0
 
+    @pytest.mark.parametrize("m", [2, 3, 200, 4000])
+    def test_matches_diff_formula(self, m):
+        u = np.random.default_rng(m).normal(size=m)
+        expected = float(np.sum(np.abs(np.diff(u))) + abs(u[0] - u[-1]))
+        assert total_variation(u) == expected
+
     def test_short_vector_rejected(self):
         with pytest.raises(DomainError, match="length"):
             total_variation(np.array([1.0]))
@@ -200,7 +230,38 @@ class TestRunTvd:
             run_tvd(scheme_442, continuous_grid, 0.5, -1.0)
 
 
+# sigma_max on the default square grid (tf 0.6, tol 0.01) as printed by
+# `essprk sigma-table` when every probe stepped to its final time; stopping
+# probes at the first increase must not move them
+SIGMA_TABLE = {
+    "ESSPRK(4,3,2)": 1.99609375,
+    "ESSPRK(4,4,2)": 1.0962263344845269,
+    "ESSPRK(3,3,2)": 1.0683593749378133,
+    "ESSPRK(5,4,2)": 2.022430028077693,
+    "ESSPRK(4,4,3)": 1.0831970724239,
+}
+
+
 class TestMaxSigma:
+    @pytest.mark.parametrize("label", sorted(SIGMA_TABLE))
+    def test_pinned_values(self, label, square_grid):
+        scheme = composite_from_entry(lookup(label))
+        assert max_tvd_sigma(scheme, square_grid, 0.6) == SIGMA_TABLE[label]
+
+    @pytest.mark.parametrize(
+        "factor", [0.5, 0.9, 0.99, 1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 6.0]
+    )
+    def test_probe_verdict_is_run_tvd_verdict(
+        self, factor, scheme_442, square_grid, continuous_grid
+    ):
+        sigma = factor * scheme_442.coefficient
+        for grid, tf in ((square_grid, 0.6), (continuous_grid, 1.62)):
+            try:
+                expected = run_tvd(scheme_442, grid, sigma, tf).monotone
+            except NonFiniteState:
+                expected = False
+            assert experiments._monotone_at(scheme_442, grid, sigma, tf) is expected
+
     def test_four_stage_third_order(self, scheme_432, square_grid):
         sigma = max_tvd_sigma(scheme_432, square_grid, 0.6)
         assert sigma == pytest.approx(2.00, abs=0.05)

@@ -23,6 +23,8 @@ from essprk.methods import family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
 from essprk.tableau import shu_osher_to_butcher
 
+from conftest import make_random_tableau
+
 
 def exponential_ivp(rate=1.0, span=1.0):
     return IVP(rhs=lambda u: rate * u, u0=np.array([1.0]), t0=0.0, tf=span)
@@ -50,6 +52,16 @@ class TestIVP:
     def test_scalar_initial_state_promoted(self):
         ivp = IVP(rhs=lambda u: u, u0=2.0, t0=0.0, tf=1.0)
         assert ivp.u0.shape == (1,)
+
+
+def reference_rk_step(tableau, rhs, u, dt):
+    """The stage and update formulas rk_step must reproduce bit for bit."""
+    A, b, s = tableau.A, tableau.b, tableau.s
+    slopes = np.empty((s,) + u.shape)
+    for i in range(s):
+        stage = u if i == 0 else u + dt * (A[i, :i] @ slopes[:i])
+        slopes[i] = rhs(stage)
+    return u + dt * (b @ slopes)
 
 
 class TestRkStep:
@@ -84,6 +96,25 @@ class TestRkStep:
         with pytest.raises(NonFiniteState) as info:
             rk_step(ssprk33, rhs, np.ones(1), 0.1)
         assert info.value.stage == 1
+
+    @pytest.mark.parametrize("m", [2, 4000])
+    @pytest.mark.parametrize("s", range(2, 18))
+    def test_matches_reference_formula_bit_for_bit(self, s, m):
+        rng = np.random.default_rng(1000 * s + m)
+        tableau = make_random_tableau(rng, s, nonnegative=False)
+        u = rng.normal(size=m)
+        u[rng.integers(0, m, m // 4 + 1)] = 0.0
+
+        def rhs(v):
+            return np.sin(v) - 0.3 * v * v
+
+        out = rk_step(tableau, rhs, u, 0.03)
+        assert out.tobytes() == reference_rk_step(tableau, rhs, u, 0.03).tobytes()
+
+    def test_overflowing_sum_of_finite_slopes_is_not_an_error(self, forward_euler):
+        # a screen that tests only the sum of the slopes would reject this
+        out = rk_step(forward_euler, lambda v: np.full(2, 1e308), np.zeros(2), 1.0)
+        assert np.array_equal(out, [1e308, 1e308])
 
 
 class TestShuOsherStep:
