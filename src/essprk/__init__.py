@@ -45,13 +45,6 @@ from .methods import (
     ssprk_33,
     ssprk_43,
 )
-from .optimizer import (
-    MainSearchOutcome,
-    SearchConfig,
-    StartStopOutcome,
-    optimize_main,
-    optimize_start_stop,
-)
 from .order_conditions import (
     BarrierWitness,
     EffectiveOrderSpec,
@@ -80,6 +73,24 @@ from .tableau import (
 )
 
 __version__ = "0.1.0"
+
+# served on first use, so that importing essprk leaves scipy.optimize unloaded
+_OPTIMIZER_NAMES = frozenset({
+    "MainSearchOutcome",
+    "SearchConfig",
+    "StartStopOutcome",
+    "optimize_main",
+    "optimize_start_stop",
+})
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZER_NAMES:
+        from . import optimizer
+
+        return getattr(optimizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BarrierWitness",

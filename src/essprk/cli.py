@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,6 @@ from .experiments import (
 )
 from .integrator import composite_from_entry
 from .methods import catalog, lookup
-from .optimizer import SearchConfig, optimize_main
 from .order_conditions import (
     EffectiveOrderSpec,
     classical_order,
@@ -180,6 +180,9 @@ def _cmd_ssp(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    # imported here so that no other command pays for scipy.optimize
+    from .optimizer import SearchConfig, optimize_main
+
     spec = EffectiveOrderSpec(args.q, args.p)
     config = SearchConfig(restarts=args.restarts, seed=args.seed)
     _log(
@@ -279,7 +282,21 @@ def _cmd_sigma_table(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``essprk`` command line."""
     parser = argparse.ArgumentParser(
         prog="essprk",
         description=(
@@ -345,16 +362,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest monotone step ratio for every bracketed catalog method",
     )
     p.add_argument("--tf", type=float, default=0.6)
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--tol", type=_positive_float, default=0.01,
+                   help="bisection tolerance, positive and finite")
     p.set_defaults(func=_cmd_sigma_table)
 
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: building it costs more than a small check
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

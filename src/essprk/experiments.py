@@ -22,7 +22,6 @@ from importlib import resources
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, EssprkError, NonFiniteState
 from .integrator import (
@@ -41,6 +40,7 @@ from .order_conditions import (
     resolve_free_weights,
     start_stop_targets,
 )
+from .ssp import _bisect
 from .tableau import ButcherTableau, parse_tableau
 
 __all__ = [
@@ -249,7 +249,9 @@ def max_tvd_sigma(
     certified coefficient; returns the upper bracket outright in the
     (never observed) case that 2C still shows no increase.  Each probe
     is the verdict of :func:`run_tvd` at default tolerance, but stops
-    stepping at the first increase or blow-up.
+    stepping at the first increase or blow-up.  The bisection ends once
+    the bracket is no wider than ``tol`` or its midpoint rounds to an
+    endpoint; ``tol`` must be finite and nonnegative.
     """
     C = scheme.coefficient
     lo, hi = 0.5 * C, 2.0 * C
@@ -259,12 +261,9 @@ def max_tvd_sigma(
         )
     if _monotone_at(scheme, grid, hi, tf):
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _monotone_at(scheme, grid, mid, tf):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(
+        lambda sigma: _monotone_at(scheme, grid, sigma, tf), lo, hi, tol
+    )
     return lo
 
 
@@ -381,6 +380,8 @@ def perturbation_pair_tableaux(
     some negative ones: the pair demonstrates why composites use the
     combined start/stop methods instead.  Deterministic solve, no seeds.
     """
+    from scipy.optimize import least_squares
+
     p = int(classical_order(scheme.main))
     spec = EffectiveOrderSpec(scheme.q, p)
     w = elementary_weights(scheme.main)

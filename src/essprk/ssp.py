@@ -6,15 +6,25 @@ stay nonnegative after the transformation K -> K(I + rA)^(-1), together
 with the leftover column 1 - r K(I + rA)^(-1) 1.  The largest such r is the
 SSP coefficient; dividing by the stage count gives the per-stage (effective)
 coefficient used to compare methods of different sizes.
+
+The feasible radii form one interval [0, R] (Kraaijevanger, "Contractivity
+of Runge-Kutta methods", BIT 1991), so bisection finds R.  Because A is
+nilpotent, (I + rA)^(-1) = sum_k (-rA)^k and the transformed coefficients
+are polynomials in r of degree at most s.  The bisection probes them with
+one product against the powers of r, with no triangular solve; the exact
+solve-based test certifies both ends of the final bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .errors import DomainError
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -128,6 +138,80 @@ def abs_monotonic(
     )
 
 
+def _bisect(
+    feasible: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Shrink a bracket with ``feasible(lo)`` true and ``feasible(hi)`` false.
+
+    Halves [lo, hi] until it is no wider than ``tol`` or its midpoint rounds
+    to an endpoint, so it ends for any tolerance, zero included.
+    """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(
+            f"bisection tolerance must be finite and nonnegative, got {tol}"
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _radius_bracket(
+    feasible: Callable[[float], bool], r_max: float, tol: float
+) -> tuple[float, float]:
+    """Bracket of the largest feasible radius in [0, r_max].
+
+    (0, 0) when radius 0 already fails and (r_max, r_max) when r_max holds.
+    """
+    if not feasible(0.0):
+        return 0.0, 0.0
+    if feasible(r_max):
+        return r_max, r_max
+    return _bisect(feasible, 0.0, r_max, tol)
+
+
+def _polynomial_screen(
+    A: np.ndarray,
+    b: np.ndarray,
+    entry_tol: float,
+    exact: Callable[[float], bool],
+) -> Callable[[float], bool]:
+    """Solve-free feasibility probe from the polynomial form of the transform.
+
+    X(r) = [A; b] sum_k (-r)^k A^k has degree below s and the leftover
+    column 1 + sum_k (-r)^(k+1) [A; b] A^k 1 degree s; one row of ``coef``
+    holds the coefficients of one power of -r.  A probe whose values are
+    not all finite falls back to ``exact``.
+    """
+    s = b.size
+    width = (s + 1) * s
+    coef = np.zeros((s + 1, width + s + 1))
+    coef[0, width:] = 1.0
+    # entries near the float range overflow here; such probes go exact
+    with np.errstate(all="ignore"):
+        term = np.vstack([A, b])
+        for k in range(s):
+            coef[k, :width] = term.ravel()
+            coef[k + 1, width:] = term.sum(axis=1)
+            term = term @ A
+    exponents = np.arange(s + 1)
+
+    def feasible(r: float) -> bool:
+        with np.errstate(all="ignore"):
+            values = (-r) ** exponents @ coef
+            worst, top = values.min(), values.max()
+        if math.isfinite(worst) and math.isfinite(top):
+            return bool(worst >= -entry_tol)
+        return exact(r)
+
+    return feasible
+
+
 def ssp_coefficient(
     tableau: ButcherTableau,
     tol: float = DEFAULT_BISECTION_TOL,
@@ -135,38 +219,38 @@ def ssp_coefficient(
 ) -> SSPResult:
     """SSP coefficient by bisection over [0, 2s].
 
-    Returns 0 when the test already fails at radius 0 (some negative
-    coefficient or weight).  The certificate is the feasibility report at
-    the returned radius.
+    The feasible radii form one interval [0, R] (Kraaijevanger 1991), so
+    bisection brackets R.  Returns 0 when the test already fails at radius
+    0 (some negative coefficient or weight).  Each probe evaluates the
+    transformed coefficients as polynomials in the radius, with no solve
+    (see the module docstring); a probe whose values are not all finite
+    uses :func:`abs_monotonic` instead.  :func:`abs_monotonic` then
+    certifies both ends of the bracket: its report at the lower end must
+    be feasible and is the returned certificate, and the upper end must
+    be infeasible.  If either check fails, the bisection runs again with
+    exact probes throughout, so the exact test always certifies the
+    returned bracket.  ``tol`` must be finite and nonnegative; the
+    bisection also ends when its midpoint rounds to an endpoint.
     """
     s = tableau.s
-    base = abs_monotonic(tableau, 0.0, entry_tol)
-    if not base.feasible:
-        return SSPResult(
-            coefficient=0.0,
-            effective_coefficient=0.0,
-            bracket=(0.0, 0.0),
-            certificate=base,
-        )
     r_max = 2.0 * s
-    top = abs_monotonic(tableau, r_max, entry_tol)
-    if top.feasible:
-        return SSPResult(
-            coefficient=r_max,
-            effective_coefficient=r_max / s,
-            bracket=(r_max, r_max),
-            certificate=top,
-        )
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if abs_monotonic(tableau, mid, entry_tol).feasible:
-            lo = mid
-        else:
-            hi = mid
+
+    def exact(r: float) -> bool:
+        return abs_monotonic(tableau, r, entry_tol).feasible
+
+    screen = _polynomial_screen(tableau.A, tableau.b, entry_tol, exact)
+    lo, hi = _radius_bracket(screen, r_max, tol)
+    certificate = abs_monotonic(tableau, lo, entry_tol)
+    if lo < hi:
+        confirmed = certificate.feasible and not exact(hi)
+    else:
+        confirmed = certificate.feasible == (lo > 0.0)
+    if not confirmed:
+        lo, hi = _radius_bracket(exact, r_max, tol)
+        certificate = abs_monotonic(tableau, lo, entry_tol)
     return SSPResult(
         coefficient=lo,
         effective_coefficient=lo / s,
         bracket=(lo, hi),
-        certificate=abs_monotonic(tableau, lo, entry_tol),
+        certificate=certificate,
     )

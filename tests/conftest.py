@@ -1,9 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from essprk.tableau import ButcherTableau
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(script, timeout):
+    """Run ``script`` in a fresh interpreter that imports this checkout's src.
+
+    A child process lets a test fail on ``timeout`` instead of hanging.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=timeout,
+    )
 
 
 @pytest.fixture

@@ -6,13 +6,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from essprk import cli
 from essprk.cli import _ssp_payload, main
 from essprk.errors import TableauParseError
 from essprk.methods import catalog
 from essprk.tableau import ButcherTableau, emit_tableau, parse_shu_osher
 
-from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc
+from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc, run_python
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +294,16 @@ class TestSigmaTableCommand:
         _, out_b, _ = run_cli(capsys, "sigma-table")
         assert out_a == out_b
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.01", "1e-400"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "sigma-table", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "bisecting" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "positive and finite" in errors[0]
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -303,6 +316,121 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "subcommand" in out or "usage" in out
+
+
+class TestParserReuse:
+    CALLS = [
+        ["check", "SSPRK(3,3)"],
+        ["ssp", "ESSPRK(4,4,2)"],
+        ["burgers", "--scheme", "ESSPRK(4,4,2)"],
+        ["burgers", "--scheme", "ESSPRK(4,4,2)", "--sigma", "0.9",
+         "--tf", "0.05", "--main-only"],
+        ["burgers", "--scheme", "ESSPRK(4,4,2)", "--sigma", "0.9",
+         "--tf", "0.05"],
+        ["check", "ESSPRK(4,4,2)"],
+    ]
+
+    def _outputs(self, capsys):
+        return [run_cli(capsys, *argv) for argv in self.CALLS]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_same_output_as_a_fresh_parser(self, capsys, monkeypatch):
+        cached = self._outputs(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._outputs(capsys)
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+        # the flag given in one call does not stick to the next
+        assert cached[3][1] != cached[4][1]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.text(max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, 1.0, -1.0, 0.5, 1e-300, 1e300, -1e300, 1.7e308]
+)
+
+
+@st.composite
+def _documents(draw):
+    """Tableau and Shu-Osher documents, mostly well shaped, with any entries."""
+    s = draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(_ENTRIES, min_size=s, max_size=s),
+                      min_size=s, max_size=s + 1)
+    vector = st.lists(_ENTRIES, min_size=s, max_size=s + 1)
+    fields = {
+        "label": st.text(max_size=4) | _JSON_VALUES,
+        "s": st.just(s) | _JSON_VALUES,
+        "A": matrix.map(lambda rows: [
+            [0.0 if j >= i else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]) | matrix | _JSON_VALUES,
+        "b": vector | _JSON_VALUES,
+        "q": st.sampled_from([None, 2, 3, 4]) | _JSON_VALUES,
+        "p": st.sampled_from([None, 1, 2, 3]) | _JSON_VALUES,
+        "v": vector | _JSON_VALUES,
+        "alpha": matrix | _JSON_VALUES,
+        "beta": matrix | _JSON_VALUES,
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    return {key: draw(fields[key]) for key in sorted(keys)}
+
+
+class TestFuzzedFiles:
+    """Whatever a file holds, check and ssp end with exit 0, 1 or 2."""
+
+    def _assert_contained(self, capsys, path):
+        for command in ("check", "ssp"):
+            code, _, err = run_cli(capsys, command, str(path))
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=200))
+    def test_random_bytes(self, capsys, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        self._assert_contained(capsys, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_documents() | _JSON_VALUES)
+    def test_random_documents(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        self._assert_contained(capsys, path)
+
+
+def test_commands_leave_scipy_optimize_unloaded():
+    script = (
+        "import contextlib, io, sys\n"
+        "import essprk\n"
+        "from essprk import cli\n"
+        "essprk.catalog()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['check', 'SSPRK(3,3)']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "from essprk import optimize_main\n"
+        "assert optimize_main is sys.modules['essprk.optimizer'].optimize_main\n"
+    )
+    proc = run_python(script, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():

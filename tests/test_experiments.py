@@ -26,6 +26,8 @@ from essprk.methods import lookup
 from essprk.order_conditions import classical_order
 from essprk.tableau import emit_tableau, parse_tableau
 
+from conftest import run_python
+
 
 @pytest.fixture(scope="module")
 def continuous_grid():
@@ -243,6 +245,26 @@ SIGMA_TABLE = {
 
 
 class TestMaxSigma:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+    def test_bad_tolerance(self, tol, scheme_432):
+        grid = BurgersGrid(m=50, initial_profile="square_wave")
+        with pytest.raises(DomainError, match="tolerance"):
+            max_tvd_sigma(scheme_432, grid, 0.6, tol=tol)
+
+    def test_zero_tolerance_returns(self):
+        script = (
+            "from essprk.experiments import BurgersGrid, max_tvd_sigma\n"
+            "from essprk.integrator import composite_from_entry\n"
+            "from essprk.methods import lookup\n"
+            "scheme = composite_from_entry(lookup('ESSPRK(4,3,2)'))\n"
+            "grid = BurgersGrid(m=50, initial_profile='square_wave')\n"
+            "coarse = max_tvd_sigma(scheme, grid, 0.6, tol=0.01)\n"
+            "fine = max_tvd_sigma(scheme, grid, 0.6, tol=0.0)\n"
+            "assert coarse <= fine <= coarse + 0.01, (coarse, fine)\n"
+        )
+        proc = run_python(script, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("label", sorted(SIGMA_TABLE))
     def test_pinned_values(self, label, square_grid):
         scheme = composite_from_entry(lookup(label))

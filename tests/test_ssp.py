@@ -1,15 +1,83 @@
 """Absolute monotonicity radii: certificates, bisection, known values."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essprk.methods import ssprk_43
-from essprk.ssp import abs_monotonic, ssp_coefficient
-from essprk.tableau import ButcherTableau
+from essprk import ssp
+from essprk.errors import DomainError
+from essprk.methods import catalog, family_n2p1, lookup, ssprk_43
+from essprk.ssp import (
+    DEFAULT_BISECTION_TOL,
+    DEFAULT_ENTRY_TOL,
+    SSPResult,
+    _bisect,
+    abs_monotonic,
+    ssp_coefficient,
+)
+from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
-from conftest import make_random_tableau
+from conftest import make_random_tableau, run_python
+
+
+def reference_ssp_coefficient(
+    tableau, tol=DEFAULT_BISECTION_TOL, entry_tol=DEFAULT_ENTRY_TOL
+):
+    """Oracle: bisection over [0, 2s] with a triangular solve at every probe."""
+    s = tableau.s
+    base = abs_monotonic(tableau, 0.0, entry_tol)
+    if not base.feasible:
+        return SSPResult(0.0, 0.0, (0.0, 0.0), base)
+    r_max = 2.0 * s
+    top = abs_monotonic(tableau, r_max, entry_tol)
+    if top.feasible:
+        return SSPResult(r_max, r_max / s, (r_max, r_max), top)
+    lo, hi = 0.0, r_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if abs_monotonic(tableau, mid, entry_tol).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return SSPResult(lo, lo / s, (lo, hi), abs_monotonic(tableau, lo, entry_tol))
+
+
+def assert_matches_reference(tableau):
+    got, want = ssp_coefficient(tableau), reference_ssp_coefficient(tableau)
+    assert got.coefficient == want.coefficient
+    assert got.effective_coefficient == want.effective_coefficient
+    assert got.bracket == want.bracket
+    a, b = got.certificate, want.certificate
+    assert (a.feasible, a.radius, a.worst_index) == (b.feasible, b.radius, b.worst_index)
+    assert a.worst_entry == b.worst_entry or (
+        np.isnan(a.worst_entry) and np.isnan(b.worst_entry)
+    )
+    assert np.array_equal(a.coefficients, b.coefficients, equal_nan=True)
+    assert np.array_equal(a.remainder, b.remainder, equal_nan=True)
+    return got, want
+
+
+def _catalog_tableaux():
+    for entry in catalog():
+        for role in ("main", "start", "stop"):
+            tableau = getattr(entry, role)
+            if tableau is not None:
+                yield pytest.param(tableau, id=f"{entry.label}-{role}")
+
+
+def _random_oracle_tableau(rng):
+    """Nonnegative tableau of 2-17 stages, a third of them with zeroed entries."""
+    s = int(rng.integers(2, 18))
+    A = np.tril(rng.uniform(0.0, rng.choice([1.0 / s, 1.0, 3.0]), (s, s)), -1)
+    b = rng.uniform(0.05, 1.0, s)
+    if rng.integers(3) == 0:
+        A[rng.uniform(size=(s, s)) < 0.5] = 0.0
+        b[rng.uniform(size=s) < 0.3] = 0.0
+        b[0] = max(b[0], 0.05)
+    return ButcherTableau(A=A, b=b / b.sum())
 
 
 class TestFeasibilityReport:
@@ -95,3 +163,102 @@ class TestCoefficient:
             assert abs_monotonic(t, f * C).feasible
         if res.bracket[0] < res.bracket[1]:  # not capped
             assert not abs_monotonic(t, 1.01 * C + 1e-6).feasible
+
+
+class TestPolynomialScreen:
+    """The solve-free probes give the oracle's result bit for bit."""
+
+    @pytest.mark.parametrize("tableau", list(_catalog_tableaux()))
+    def test_catalog(self, tableau):
+        assert_matches_reference(tableau)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_sparse_family(self, n, branch):
+        got, _ = assert_matches_reference(shu_osher_to_butcher(family_n2p1(n, branch)))
+        assert got.coefficient == pytest.approx(n * n - n, abs=1e-9)
+
+    def test_random_nonnegative_tableaux(self):
+        rng = np.random.default_rng(20121)
+        for _ in range(1000):
+            assert_matches_reference(_random_oracle_tableau(rng))
+
+    @pytest.mark.parametrize(
+        "A, b",
+        [
+            # entries near the float range overflow the polynomial terms
+            ([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e300, 1e300, 0.0]],
+             [0.2, 0.3, 0.5]),
+            ([[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [1e300, 1e300, 0.0]],
+             [0.2, 0.3, 0.5]),
+            ([[0.0, 0.0], [1e300, 0.0]], [1e-300, 1.0]),
+            ([[0.0, 0.0], [float("nan"), 0.0]], [0.5, 0.5]),
+            ([[0.0, 0.0], [1.0, 0.0]], [0.5, float("nan")]),
+            ([[0.0, 0.0], [1.0, 0.0]], [1.5, -0.5]),
+        ],
+        ids=["overflow", "tiny-and-huge", "huge-pair", "nan-entry",
+             "nan-weight", "negative-weight"],
+    )
+    def test_fail_safe(self, A, b):
+        tableau = ButcherTableau(A=np.array(A), b=np.array(b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = assert_matches_reference(tableau)
+        assert got.coefficient == 0.0 or got.coefficient == want.coefficient
+
+    @pytest.mark.parametrize("tableau", list(_catalog_tableaux()))
+    def test_exact_test_runs_only_at_the_bracket_ends(self, tableau, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return abs_monotonic(*args, **kwargs)
+
+        monkeypatch.setattr(ssp, "abs_monotonic", counted)
+        result = ssp_coefficient(tableau)
+        assert len(calls) <= 3
+        assert result.bracket[0] in calls
+
+
+class TestBisect:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            _bisect(lambda r: r < 1.0, 0.0, 2.0, tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            ssp_coefficient(lookup("SSPRK(3,3)").main, tol=tol)
+
+    @staticmethod
+    def _bounded(feasible):
+        # a bisection that does not end fails here instead of hanging
+        probes = []
+
+        def probe(r):
+            probes.append(r)
+            assert len(probes) <= 2000, "bisection did not end"
+            return feasible(r)
+
+        return probe
+
+    def test_zero_tolerance_ends_at_adjacent_floats(self):
+        lo, hi = _bisect(self._bounded(lambda r: r < 1.0), 0.0, 2.0, 0.0)
+        assert hi == 1.0
+        assert lo == np.nextafter(1.0, 0.0)
+
+    def test_zero_tolerance_ends_below_the_smallest_float(self):
+        lo, hi = _bisect(self._bounded(lambda r: r <= 0.0), 0.0, 2.0, 0.0)
+        assert (lo, hi) == (0.0, 5e-324)
+
+    def test_zero_tolerance_coefficient_returns(self):
+        script = (
+            "import math\n"
+            "from essprk.methods import lookup\n"
+            "from essprk.ssp import ssp_coefficient\n"
+            "res = ssp_coefficient(lookup('SSPRK(3,3)').main, tol=0.0)\n"
+            "lo, hi = res.bracket\n"
+            "assert res.coefficient == lo, res.bracket\n"
+            "assert hi == math.nextafter(lo, math.inf), res.bracket\n"
+            "assert res.certificate.feasible\n"
+        )
+        proc = run_python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
