@@ -34,13 +34,17 @@ from .integrator import (
 )
 from .order_conditions import (
     EffectiveOrderSpec,
+    _pack_dim,
+    _packed_weights,
+    _starting_series,
+    _unpack,
+    butcher_inverse,
     classical_order,
     elementary_weights,
     recover_starting_weights,
     resolve_free_weights,
-    start_stop_targets,
 )
-from .ssp import _bisect
+from .ssp import _bisect, _check_bisection_tol
 from .tableau import ButcherTableau, parse_tableau
 
 __all__ = [
@@ -253,6 +257,7 @@ def max_tvd_sigma(
     the bracket is no wider than ``tol`` or its midpoint rounds to an
     endpoint; ``tol`` must be finite and nonnegative.
     """
+    _check_bisection_tol(tol)
     C = scheme.coefficient
     lo, hi = 0.5 * C, 2.0 * C
     if not _monotone_at(scheme, grid, lo, tf):
@@ -359,17 +364,6 @@ def vdp_single_convergence(tableau: ButcherTableau):
 # ---- direct perturbation methods (negative weights, for the TVD contrast) ----
 
 
-def _weights_through_order(tableau_vec, s, count):
-    A = np.zeros((s, s))
-    k = 0
-    for i in range(1, s):
-        A[i, :i] = tableau_vec[k : k + i]
-        k += i
-    b = tableau_vec[k:]
-    w = elementary_weights(ButcherTableau(A=A, b=b))
-    return w[1 : count + 1], A, b
-
-
 def perturbation_pair_tableaux(
     scheme: CompositeScheme, stages: int | None = None
 ) -> tuple[ButcherTableau, ButcherTableau]:
@@ -380,48 +374,38 @@ def perturbation_pair_tableaux(
     some negative ones: the pair demonstrates why composites use the
     combined start/stop methods instead.  Deterministic solve, no seeds.
     """
-    from scipy.optimize import least_squares
+    from .optimizer import SearchConfig, _least_squares_fit
 
     p = int(classical_order(scheme.main))
-    spec = EffectiveOrderSpec(scheme.q, p)
     w = elementary_weights(scheme.main)
-    starting = recover_starting_weights(w, spec)
-    resolved = resolve_free_weights(
-        w, starting, elementary_weights(scheme.start)
-    )
-    identity = np.zeros(18)
-    identity[0] = 1.0
-    forward, backward = start_stop_targets(identity, resolved)
+    starting = recover_starting_weights(w, EffectiveOrderSpec(scheme.q, p))
+    resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
+    alpha = _starting_series(resolved)
     count = 4 if scheme.q == 3 else 8
     if stages is None:
         stages = 3 if scheme.q == 3 else 4
-    dim = stages * (stages - 1) // 2 + stages
+    dim = _pack_dim(stages)
     if dim < count:
         raise DomainError(
             f"{stages} stages give only {dim} coefficients for {count} conditions"
         )
+    weights, jacobian = _packed_weights(stages, slice(1, count + 1))
     rng = np.random.default_rng(1234)
+    config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
     out = []
-    for target in (forward, backward):
+    for target in (alpha, butcher_inverse(alpha)):
         goal = target[1 : count + 1]
-        best = None
-        for _ in range(40):
-            sol = least_squares(
-                lambda v: _weights_through_order(v, stages, count)[0] - goal,
-                x0=rng.uniform(-0.8, 0.8, size=dim),
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-            )
-            residual = float(np.max(np.abs(sol.fun)))
-            if best is None or residual < best[0]:
-                best = (residual, sol.x)
-            if residual <= 1e-11:
-                break
-        if best[0] > 1e-9:
+        x = _least_squares_fit(
+            lambda x: weights(x) - goal,
+            jacobian,
+            lambda k: rng.uniform(-0.8, 0.8, size=dim),
+            -np.inf,
+            config,
+        )
+        residual = float(np.max(np.abs(weights(x) - goal)))
+        if residual > 1e-9:
             raise EssprkError(
-                f"perturbation method solve stalled at residual {best[0]:.2e}"
+                f"perturbation method solve stalled at residual {residual:.2e}"
             )
-        _, A, b = _weights_through_order(best[1], stages, count)
-        out.append(ButcherTableau(A=A, b=b))
+        out.append(ButcherTableau(*_unpack(x, stages)))
     return out[0], out[1]

@@ -19,15 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError
-from .order_conditions import (
-    EffectiveOrderSpec,
-    classical_order,
-    effective_order,
-    elementary_weights,
-    resolve_free_weights,
-    recover_starting_weights,
-    start_stop_targets,
-)
+from .order_conditions import classical_order, companion_residual, effective_order
 from .ssp import ssp_coefficient
 from .tableau import ButcherTableau, ShuOsherForm, parse_tableau, shu_osher_to_butcher
 
@@ -192,19 +184,10 @@ def _verify_entry(entry: CatalogEntry) -> None:
         s = main.s
         if entry.start.s > s + 1 or entry.stop.s > s:
             raise DomainError(f"{entry.label}: start/stop exceed stage caps")
-        spec = EffectiveOrderSpec(entry.q, entry.p)
-        w = elementary_weights(main)
-        starting = recover_starting_weights(w, spec, tol=_LOAD_TOL)
-        w_start = elementary_weights(entry.start)
-        w_stop = elementary_weights(entry.stop)
-        resolved = resolve_free_weights(w, starting, w_start)
-        rho, tau = start_stop_targets(w, resolved)
-        n_trees = 4 if entry.q == 3 else 8
-        worst = max(
-            float(np.max(np.abs(w_start[1 : n_trees + 1] - rho[1 : n_trees + 1]))),
-            float(np.max(np.abs(w_stop[1 : n_trees + 1] - tau[1 : n_trees + 1]))),
+        worst = companion_residual(
+            main, entry.start, entry.stop, entry.q, tol=_LOAD_TOL
         )
-        if worst > _LOAD_TOL:
+        if not worst <= _LOAD_TOL:
             raise DomainError(
                 f"{entry.label}: start/stop target residual {worst:.3e}"
             )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
@@ -33,6 +32,11 @@ from .order_conditions import (
     N_TREES,
     EffectiveOrderSpec,
     StartingWeights,
+    _pack_dim,
+    _packed_weights,
+    _tangents,
+    _unpack,
+    _weights_jacobian,
     effective_order_residuals,
     elementary_weights,
     recover_starting_weights,
@@ -127,28 +131,6 @@ class StartStopOutcome:
         object.__setattr__(self, "free_weights", f)
 
 
-def _pack_dim(s: int) -> int:
-    return s * (s - 1) // 2 + s
-
-
-def _unpack(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    A = np.zeros((s, s))
-    k = 0
-    for i in range(1, s):
-        A[i, :i] = x[k : k + i]
-        k += i
-    return A, np.array(x[k : k + s])
-
-
-@lru_cache(maxsize=16)
-def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of (A, b) along each packed coordinate, stacked first."""
-    dA, db = map(np.array, zip(*[_unpack(e, s) for e in np.eye(_pack_dim(s))]))
-    dA.flags.writeable = False
-    db.flags.writeable = False
-    return dA, db
-
-
 def _split(x: np.ndarray, stages) -> tuple[list, np.ndarray]:
     """Unpack consecutive tableaux of the given stage counts; the rest is free."""
     *parts, free = np.split(x, np.cumsum([_pack_dim(s) for s in stages]))
@@ -162,38 +144,6 @@ def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     if total > 0.0:
         x[nA:] /= total  # weights normalized to sum 1
     return x
-
-
-def _weights_jacobian(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jacobian of the 18 elementary weights in the packed coordinates.
-
-    Forward mode over the products ``elementary_weights`` forms: every stage
-    vector travels with one tangent row per coordinate.
-    """
-    dA, db = _tangents(b.size)
-    n, s = db.shape
-
-    def Am(u):
-        return A @ u[0], dA @ u[0] + u[1] @ A.T
-
-    def mul(u, v):
-        return u[0] * v[0], u[1] * v[0] + u[0] * v[1]
-
-    one = (np.ones(s), np.zeros((n, s)))
-    c = Am(one)
-    c2 = mul(c, c)
-    c3 = mul(c2, c)
-    Ac, Ac2 = Am(c), Am(c2)
-    AAc = Am(Ac)
-    cAc = mul(c, Ac)
-    terms = [
-        one, c, c2, Ac, c3, cAc, Ac2, AAc, mul(c2, c2), mul(c2, Ac),
-        mul(c, Ac2), mul(c, AAc), mul(Ac, Ac), Am(c3), Am(cAc), Am(Ac2), Am(AAc),
-    ]
-    J = np.zeros((N_TREES, n))
-    for i, (u, du) in enumerate(terms, start=1):
-        J[i] = db @ u + du @ b
-    return J
 
 
 def _residual_jacobian(w: np.ndarray, spec: EffectiveOrderSpec) -> np.ndarray:
@@ -262,17 +212,14 @@ def _main_constraints(s: int, spec: EffectiveOrderSpec):
     """Order residuals of a packed s-stage tableau and their exact Jacobian."""
     # affine residuals have one Jacobian in the weights everywhere
     R = _residual_jacobian(np.zeros(N_TREES), spec) if spec.q <= 4 else None
-
-    def weights(x):
-        A, b = _unpack(x, s)
-        return elementary_weights(ButcherTableau(A=A, b=b))
+    weights, weights_jacobian = _packed_weights(s)
 
     def fun(x):
         return effective_order_residuals(weights(x), spec)
 
     def jac(x):
         Rx = R if R is not None else _residual_jacobian(weights(x), spec)
-        return Rx @ _weights_jacobian(*_unpack(x, s))
+        return Rx @ weights_jacobian(x)
 
     return fun, jac
 
@@ -282,8 +229,8 @@ def _start_stop_constraints(
 ):
     """Start/stop target gaps over (x_start, x_stop, free weights), with Jacobian.
 
-    The targets are affine in the free weights, so unit differences give
-    their exact derivatives.
+    The targets are affine in the free weights f, so they are base + D f,
+    with D from unit differences.
     """
     rows = slice(1, 5 if q == 3 else 9)
 
@@ -298,7 +245,7 @@ def _start_stop_constraints(
     def fun(x):
         tableaux, f = _split(x, stages)
         w = [elementary_weights(ButcherTableau(A=A, b=b))[rows] for A, b in tableaux]
-        return np.concatenate(w) - targets(f)
+        return np.concatenate(w) - (base + D @ f)
 
     def jac(x):
         tableaux, _ = _split(x, stages)

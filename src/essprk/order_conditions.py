@@ -1,34 +1,48 @@
 """Rooted-tree order conditions for explicit Runge-Kutta methods.
 
-Everything here works over a fixed set of 18 rooted trees, enough to decide
-order of accuracy through five.  Index 0 is the empty tree; indices 1..17
-enumerate the trees of order one through five.  For a tableau (A, b) with
-abscissae c the elementary weight of each tree is a scalar built from b, A
-and componentwise powers of c:
+Everything here works over one table of 18 rooted trees, enough to decide
+order of accuracy through five.  Index 0 is the empty tree; every other
+tree is the sorted tuple of its children's indices, and the table derives
+orders, densities, elementary weights and their Jacobian in (A, b).  A
+tree's stage vector is A times its child's for one child, else the product
+of the stage vectors of the trees carrying the first (larger) and second
+half of its children, so c^4 is formed as c^2 * c^2:
 
-    idx  order  weight           idx  order  weight
-     1     1    sum(b)            9     5    b.c^4
-     2     2    b.c              10     5    b.(c^2*Ac)
-     3     3    b.c^2            11     5    b.(c*Ac^2)
-     4     3    b.Ac             12     5    b.(c*A(Ac))
-     5     4    b.c^3            13     5    b.(Ac)^2  (dot of Ac with Ac)
-     6     4    b.(c*Ac)         14     5    b.A(c^3)
-     7     4    b.Ac^2           15     5    b.A(c*Ac)
-     8     4    b.A(Ac)          16     5    b.A(Ac^2)
-                                 17     5    b.A(A(Ac))
+    idx  children   weight           idx  children   weight
+     1   ()         sum(b)            9   (1,1,1,1)  b.c^4
+     2   (1,)       b.c              10   (1,1,2)    b.(c^2*Ac)
+     3   (1,1)      b.c^2            11   (1,3)      b.(c*Ac^2)
+     4   (2,)       b.Ac             12   (1,4)      b.(c*A(Ac))
+     5   (1,1,1)    b.c^3            13   (2,2)      b.(Ac)^2
+     6   (1,2)      b.(c*Ac)         14   (5,)       b.A(c^3)
+     7   (3,)       b.Ac^2           15   (6,)       b.A(c*Ac)
+     8   (4,)       b.A(Ac)          16   (7,)       b.A(Ac^2)
+                                     17   (8,)       b.A(A(Ac))
 
 A method has classical order p when its weights match 1/density for every
-tree of order at most p.  It has *effective* order q when a one-off
-preparation step exists whose composition with the method raises the
-accuracy to q: weights then need only match a conjugated target.  The
-conditions below express that target through the elementary weights of the
-preparation step (the "starting weights"), following a normalization that
-pins the order-one starting weight to zero.
+tree of order at most p.  The table also compiles, at import, into the
+Butcher product of B-series (Butcher 1969; Hairer, Lubich and Wanner,
+*Geometric Numerical Integration*, III.1): the weights of "run a, then b"
+are (a.b)(t) = sum of b(s) * prod a(u) over the rooted subtrees s of t,
+empty and whole included, with u the trees cut away to leave s.  A method
+Phi has *effective* order q when a preparation step alpha, whose weights
+are the "starting weights" (order-one weight pinned to zero), makes
+alpha.Phi.alpha^-1 agree with the exact flow E through order q.  Starting
+and stopping methods target alpha.Phi and Phi.alpha^-1.
+
+The elimination of alpha for each attainable (q, p) stays hand-written:
+:func:`effective_order_residuals` and :func:`recover_starting_weights`.
+One generated from the product agrees to rounding but moves the starting
+weights ``essprk check`` prints in their last bits; the tests pin these
+closed forms to the product instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,20 +66,47 @@ __all__ = [
     "conjugacy_residuals",
     "resolve_free_weights",
     "order5_barrier_witness",
+    "butcher_product",
+    "butcher_inverse",
+    "companion_residual",
     "DEFAULT_ORDER_TOL",
 ]
 
-N_TREES = 18
-
-# order (number of nodes) of each tree; index 0 is the empty-tree sentinel
-TREE_ORDER = np.array([0, 1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5])
-TREE_ORDER.flags.writeable = False
-
-# density of each tree; the exact flow has weight 1/density on every tree
-TREE_DENSITY = np.array(
-    [0, 1, 2, 3, 6, 4, 8, 12, 24, 5, 10, 15, 30, 20, 20, 40, 60, 120]
+# the rooted trees through order five by order, each the sorted tuple of
+# its children's indices; index 0 is the empty tree
+_CHILDREN = (
+    None,
+    (),
+    (1,),
+    (1, 1), (2,),
+    (1, 1, 1), (1, 2), (3,), (4,),
+    (1, 1, 1, 1), (1, 1, 2), (1, 3), (1, 4), (2, 2), (5,), (6,), (7,), (8,),
 )
-TREE_DENSITY.flags.writeable = False
+_INDEX = {children: i for i, children in enumerate(_CHILDREN)}
+N_TREES = len(_CHILDREN)
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
+def _order_and_density():
+    order, density = [0], [0]
+    for children in _CHILDREN[1:]:
+        order.append(1 + sum(order[i] for i in children))
+        density.append(order[-1] * math.prod(density[i] for i in children))
+    return _frozen(order), _frozen(density)
+
+
+# order (number of nodes) and density of each tree; the exact flow has
+# weight 1/density on every tree, and index 0 holds 0 in both
+TREE_ORDER, TREE_DENSITY = _order_and_density()
+
+# weights of the exact flow and of the identity map, by tree
+_EXACT = _frozen(np.r_[1.0, 1.0 / TREE_DENSITY[1:]])
+_IDENTITY = _frozen(np.eye(N_TREES)[0])
 
 DEFAULT_ORDER_TOL = 1e-10
 
@@ -108,6 +149,12 @@ class EffectiveOrderSpec:
                 f"unsupported order pair (q={self.q}, p={self.p}); "
                 f"expected one of {sorted(_VALID_ORDER_PAIRS)}"
             )
+
+
+# effective_order gates on the rows of effective_order_residuals at (5, 2),
+# whose orders these are
+_GATE_SPEC = EffectiveOrderSpec(5, 2)
+_GATE_ORDER = _frozen([1, 2, 3, 4, 4, 5, 5, 5, 5, 5])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,44 +202,157 @@ class StartingWeights:
         return StartingWeights(v, ())
 
 
+def _halves(children: tuple) -> tuple:
+    # (child, None) for A times the child's stage vector, else the trees
+    # whose stage vectors multiply to this one
+    if len(children) == 1:
+        return children[0], None
+    half = (len(children) + 1) // 2
+    return _INDEX[children[:half]], _INDEX[children[half:]]
+
+
+# how each tree from index 2 on forms its stage vector
+_STAGES = [None, None] + [_halves(children) for children in _CHILDREN[2:]]
+
+
 def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     """All 18 elementary weights of a tableau, as a read-only vector."""
-    A = tableau.A
-    b = tableau.b
-    c = tableau.c
-    c2 = c * c
-    c3 = c2 * c
-    Ac = A @ c
-    AAc = A @ Ac
-    Ac2 = A @ c2
-    w = np.array(
-        [
-            1.0,
-            b.sum(),
-            b @ c,
-            b @ c2,
-            b @ Ac,
-            b @ c3,
-            b @ (c * Ac),
-            b @ Ac2,
-            b @ AAc,
-            b @ (c2 * c2),
-            b @ (c2 * Ac),
-            b @ (c * Ac2),
-            b @ (c * AAc),
-            b @ (Ac * Ac),
-            b @ (A @ c3),
-            b @ (A @ (c * Ac)),
-            b @ (A @ Ac2),
-            b @ (A @ AAc),
-        ]
-    )
-    w.flags.writeable = False
+    A, b = tableau.A, tableau.b
+    # stage vectors by tree; A times the all-ones vector is the stored c
+    g = [None, None, tableau.c]
+    for left, right in _STAGES[3:]:
+        g.append(A @ g[left] if right is None else g[left] * g[right])
+    # sum(b) rather than b @ 1, whose rounding differs
+    return _frozen([1.0, b.sum()] + [b @ u for u in g[2:]])
+
+
+def _pack_dim(s: int) -> int:
+    return s * (s - 1) // 2 + s
+
+
+def _unpack(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) from the rows of A below the diagonal, then b, packed in x."""
+    A = np.zeros((s, s))
+    k = 0
+    for i in range(1, s):
+        A[i, :i] = x[k : k + i]
+        k += i
+    return A, np.array(x[k : k + s])
+
+
+@lru_cache(maxsize=16)
+def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of (A, b) along each packed coordinate, stacked first."""
+    dA, db = zip(*[_unpack(e, s) for e in np.eye(_pack_dim(s))])
+    return _frozen(dA), _frozen(db)
+
+
+def _weights_jacobian(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jacobian of the 18 elementary weights in the packed coordinates.
+
+    Forward mode over the stage plan of :func:`elementary_weights`: every
+    stage vector travels with one tangent row per coordinate.
+    """
+    dA, db = _tangents(b.size)
+    n, s = db.shape
+    g = [None, (np.ones(s), np.zeros((n, s)))]
+    for left, right in _STAGES[2:]:
+        u, du = g[left]
+        if right is None:
+            g.append((A @ u, dA @ u + du @ A.T))
+        else:
+            v, dv = g[right]
+            g.append((u * v, du * v + u * dv))
+    J = np.zeros((N_TREES, n))
+    for i, (u, du) in enumerate(g[1:], start=1):
+        J[i] = db @ u + du @ b
+    return J
+
+
+def _packed_weights(s: int, rows=slice(None)):
+    """Elementary weights on ``rows`` of a packed s-stage tableau, and their
+    Jacobian, as functions of the packed vector."""
+
+    def weights(x):
+        A, b = _unpack(x, s)
+        return elementary_weights(ButcherTableau(A=A, b=b))[rows]
+
+    def jacobian(x):
+        return _weights_jacobian(*_unpack(x, s))[rows]
+
+    return weights, jacobian
+
+
+def _cuts(t: int):
+    # (subtree, forest) per rooted subtree of tree t: its index, 0 when
+    # empty, and the indices of the trees cut away to leave it
+    yield 0, (t,)
+    for choice in itertools.product(*(list(_cuts(u)) for u in _CHILDREN[t])):
+        kept = tuple(sorted(s for s, _ in choice if s))
+        yield _INDEX[kept], sum((forest for _, forest in choice), ())
+
+
+# every term of the product but the whole-tree ones, as (tree, subtree,
+# forest) index arrays; forests, of at most four trees, are padded with the
+# empty tree
+_CUT_ROW, _CUT_SUBTREE, _CUT_FOREST = map(np.array, zip(*[
+    (t, s, forest + (0,) * (4 - len(forest)))
+    for t in range(1, N_TREES) for s, forest in _cuts(t) if s != t
+]))
+
+
+def _cut_terms(forests: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the product a.b less its whole-tree terms b(t), given the products of
+    # a over each term's forest
+    terms = b[_CUT_SUBTREE] * forests
+    return np.bincount(_CUT_ROW, weights=terms, minlength=N_TREES)
+
+
+def _weight_vector(weights, whose: str = "") -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (N_TREES,):
+        raise DomainError(
+            f"expected a length-{N_TREES} weight vector{whose}, got {w.shape}"
+        )
     return w
+
+
+def _series(weights) -> np.ndarray:
+    w = _weight_vector(weights)
+    if w[0] != 1.0:
+        raise DomainError("weight 0 (empty tree) must be 1")
+    return w
+
+
+def butcher_product(a, b) -> np.ndarray:
+    """Weights of the composition "run a, then b", through order five.
+
+    ``a`` and ``b`` are length-18 weight vectors with weight 1 on the empty
+    tree, such as the elementary weights of two methods.
+    """
+    a, b = _series(a), _series(b)
+    return _frozen(b + _cut_terms(a[_CUT_FOREST].prod(axis=1), b))
+
+
+def butcher_inverse(a) -> np.ndarray:
+    """Weights of the inverse map: ``butcher_product(a, inverse)`` is the identity."""
+    forests = _series(a)[_CUT_FOREST].prod(axis=1)
+    inverse = _IDENTITY
+    # a tree's cut terms read only smaller trees, so each sweep settles
+    # one more order
+    for _ in range(TREE_ORDER.max()):
+        inverse = _IDENTITY - _cut_terms(forests, inverse)
+    return _frozen(inverse)
 
 
 def _finite(tableau: ButcherTableau) -> bool:
     return bool(np.isfinite(tableau.A).all() and np.isfinite(tableau.b).all())
+
+
+def _ladder(passed: np.ndarray, row_order: np.ndarray) -> OrderEstimate:
+    """Largest p <= 5 such that every row of order at most p passed."""
+    order = int(row_order[~passed].min(initial=6)) - 1
+    return OrderEstimate(order, saturated=(order == 5))
 
 
 def classical_order(
@@ -206,16 +366,8 @@ def classical_order(
     """
     if not _finite(tableau):
         return OrderEstimate(0)
-    w = elementary_weights(tableau)
-    target = np.zeros(N_TREES)
-    target[1:] = 1.0 / TREE_DENSITY[1:]
-    ok = np.abs(w - target) <= tol
-    order = 0
-    for p in range(1, 6):
-        if not ok[TREE_ORDER == p].all():
-            break
-        order = p
-    return OrderEstimate(order, saturated=(order == 5))
+    passed = np.abs(elementary_weights(tableau) - _EXACT)[1:] <= tol
+    return _ladder(passed, TREE_ORDER[1:])
 
 
 def _second_weight_from_third_tree(w3: float) -> float:
@@ -233,9 +385,7 @@ def effective_order_residuals(
     classical order p.  For q = 5 with p = 2 the implied order-two starting
     weight is substituted before evaluating the quadratic terms.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (N_TREES,):
-        raise DomainError(f"expected a length-{N_TREES} weight vector, got {w.shape}")
+    w = _weight_vector(weights)
     q, p = spec.q, spec.p
     res = [w[1] - 1.0, w[2] - 0.5]
     if p >= 3:
@@ -277,53 +427,26 @@ def effective_order_residuals(
                 0.025 + 0.5 * w[9] - 2.0 * w[10] + w[11] + w[12] - w[15],
                 1.0 / 60.0 - w[11] + 2.0 * w[12] - w[16],
             ]
-    out = np.array(res)
-    out.flags.writeable = False
-    return out
-
+    return _frozen(res)
 
 def effective_order(
     tableau: ButcherTableau, tol: float = DEFAULT_ORDER_TOL
 ) -> OrderEstimate:
     """Largest q <= 5 for which some preparation step raises accuracy to q.
 
-    Order one needs weight 1 on the single-node tree; two adds the order-two
-    weight; three adds the chain-of-three weight; four adds the chain-of-four
-    weight plus one combined condition; five adds the order-five chain and
-    four combined conditions quadratic in the implied order-two starting
-    weight.  Classical order conditions imply these, never the reverse.
-    A tableau with a non-finite entry has effective order 0.
+    The gates are the rows of :func:`effective_order_residuals` at
+    (q, p) = (5, 2), grouped by order: one and two need the classical
+    weights, three the chain of three, four the chain of four plus one
+    combined condition, and five the chain of five plus four combined
+    conditions quadratic in the implied order-two starting weight.
+    Classical order implies these, never the reverse.  A tableau with a
+    non-finite entry has effective order 0.
     """
     if not _finite(tableau):
         return OrderEstimate(0)
-    w = elementary_weights(tableau)
-    gates = [
-        [w[1] - 1.0],
-        [w[2] - 0.5],
-        [w[4] - 1.0 / 6.0],
-        [w[8] - 1.0 / 24.0, 0.25 - w[3] + w[5] - 2.0 * w[6] + w[7]],
-    ]
-    b2 = _second_weight_from_third_tree(w[3])
-    b2sq = b2 * b2
-    gates.append(
-        [
-            w[17] - 1.0 / 120.0,
-            0.25 * w[9] - w[10] + w[13] - b2sq,
-            0.3 - 1.5 * w[3] + w[5] + 0.5 * w[9] - 3.0 * w[10] + 3.0 * w[11]
-            - w[14] - 6.0 * b2sq,
-            1.0 / 15.0 - 0.5 * w[3] + w[6] + 0.5 * w[9] - 2.0 * w[10] + w[11]
-            + w[12] - w[15] - 2.0 * b2sq,
-            19.0 / 60.0 - w[3] + w[5] - 2.0 * w[6] + w[11] - 2.0 * w[12]
-            + w[16] - 4.0 * b2sq,
-        ]
-    )
-    order = 0
-    for gate in gates:
-        # written so that a NaN residual fails the gate
-        if not all(abs(g) <= tol for g in gate):
-            break
-        order += 1
-    return OrderEstimate(order, saturated=(order == 5))
+    res = effective_order_residuals(elementary_weights(tableau), _GATE_SPEC)
+    # written so that a NaN residual fails its gate
+    return _ladder(np.abs(res) <= tol, _GATE_ORDER)
 
 
 def recover_starting_weights(
@@ -388,40 +511,14 @@ def recover_starting_weights(
     return StartingWeights(v, free)
 
 
-def _start_stop_values(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # group-product formulas: start target = (perturbation then main),
-    # stop target = (main then inverse perturbation); both through order four
-    a1, a2 = w[1], w[2]
-    b2, b3, b4, b5, b6, b7, b8 = v[2], v[3], v[4], v[5], v[6], v[7], v[8]
-    start = np.array(
-        [
-            1.0,
-            w[1],
-            w[2] + b2,
-            w[3] + b3,
-            w[4] + a1 * b2 + b4,
-            w[5] + b5,
-            w[6] + a2 * b2 + b6,
-            w[7] + a1 * b3 + b7,
-            w[8] + a1 * b4 + a2 * b2 + b8,
-        ]
-    )
-    stop = np.array(
-        [
-            1.0,
-            w[1],
-            w[2] - b2,
-            w[3] - 2.0 * a1 * b2 - b3,
-            w[4] - a1 * b2 - b4,
-            w[5] - 3.0 * a1 * a1 * b2 - 3.0 * a1 * b3 - b5,
-            w[6] - (a1 * a1 + a2 - b2) * b2 - a1 * b3 - a1 * b4 - b6,
-            w[7] - 2.0 * a1 * b4 - a1 * a1 * b2 - b7,
-            w[8] - a1 * b4 - a2 * b2 + b2 * b2 - b8,
-        ]
-    )
-    start.flags.writeable = False
-    stop.flags.writeable = False
-    return start, stop
+def _starting_series(starting: StartingWeights) -> np.ndarray:
+    # alpha with its free slots and order-five trees at 0: a slot of order
+    # q cancels from the rows of order q of alpha^-1.E.alpha and reaches no
+    # row of lower order in any product
+    alpha = np.zeros(N_TREES)
+    alpha[:9] = starting.values
+    alpha[list(starting.free)] = 0.0
+    return alpha
 
 
 def start_stop_targets(
@@ -429,20 +526,22 @@ def start_stop_targets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Target elementary weights for the starting and stopping methods.
 
-    Given main-method weights and fully resolved starting weights, returns
-    two length-9 vectors (indices 1..8; index 0 is the empty tree).  A
-    starting method must hit the first, a stopping method the second, for
-    the composite to run at the main method's effective order.
+    Given main-method weights Phi and fully resolved starting weights
+    alpha, returns the first nine weights of alpha.Phi and Phi.alpha^-1
+    (index 0 is the empty tree).  A starting method must hit the first, a
+    stopping method the second, for the composite to run at the main
+    method's effective order.
     """
     if starting.free:
         raise DomainError(
             f"starting weights still have free slots {starting.free}; "
             "fill them before forming targets"
         )
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (N_TREES,):
-        raise DomainError(f"expected a length-{N_TREES} weight vector, got {w.shape}")
-    return _start_stop_values(w, starting.values)
+    w = _weight_vector(weights)
+    alpha = _starting_series(starting)
+    start = butcher_product(alpha, w)[:9]
+    stop = butcher_product(w, butcher_inverse(alpha))[:9]
+    return start, stop
 
 
 def conjugacy_residuals(
@@ -450,53 +549,25 @@ def conjugacy_residuals(
 ) -> np.ndarray:
     """Residuals of the main weights against their conjugate-order targets.
 
-    For every tree of order <= q the main-method weight must equal an
-    expression in the starting weights; the returned vector holds weight
-    minus expression, indexed like the tree table (entry 0 unused).  Only
-    starting weights of order below q enter, so free slots of order q are
-    never touched.
+    For every tree of order <= q the main-method weight must equal that of
+    alpha^-1.E.alpha, with E the exact flow; the returned vector holds
+    weight minus target, indexed like the tree table (entry 0 unused).
+    Only starting weights of order below q enter, so free slots of order
+    q are never touched.
     """
     if not 1 <= q <= 5:
         raise DomainError(f"order must lie in 1..5, got {q}")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (N_TREES,):
-        raise DomainError(f"expected a length-{N_TREES} weight vector, got {w.shape}")
-    v = starting.values
-    b2, b3, b4, b5, b6, b7, b8 = v[2], v[3], v[4], v[5], v[6], v[7], v[8]
-    b2sq = b2 * b2
-    targets = np.array(
-        [
-            1.0,
-            1.0,
-            0.5,
-            1.0 / 3.0 + 2.0 * b2,
-            1.0 / 6.0,
-            0.25 + 3.0 * b2 + 3.0 * b3,
-            0.125 + b2 + b3 + b4,
-            1.0 / 12.0 + b2 - b3 + 2.0 * b4,
-            1.0 / 24.0,
-            0.2 + 4.0 * b2 + 6.0 * b3 + 4.0 * b5,
-            0.1 + 5.0 / 3.0 * b2 - 2.0 * b2sq + 2.5 * b3 + b4 + b5 + 2.0 * b6,
-            1.0 / 15.0 + 4.0 / 3.0 * b2 + 0.5 * b3 + 2.0 * b4 + 2.0 * b6 + b7,
-            1.0 / 30.0 + b2 / 3.0 - 2.0 * b2sq + 0.5 * b3 + 0.5 * b4 + b6 + b8,
-            0.05 + 2.0 / 3.0 * b2 - b2sq + b3 + b4 + 2.0 * b6,
-            0.05 + b2 + 3.0 * b4 - b5 + 3.0 * b7,
-            0.025 + b2 / 3.0 + 1.5 * b4 - b6 + b7 + b8,
-            1.0 / 60.0 + b2 / 3.0 - 0.5 * b3 + b4 - b7 + 2.0 * b8,
-            1.0 / 120.0,
-        ]
-    )
-    keep = (TREE_ORDER >= 1) & (TREE_ORDER <= q)
+    w = _weight_vector(weights)
     needed = [i for i in starting.free if TREE_ORDER[i] < q]
     if needed:
         raise DomainError(
             f"starting weights have unresolved slots {tuple(needed)} of order "
             f"below {q}"
         )
-    out = np.zeros(N_TREES)
-    out[keep] = w[keep] - targets[keep]
-    out.flags.writeable = False
-    return out
+    alpha = _starting_series(starting)
+    target = butcher_product(butcher_product(butcher_inverse(alpha), _EXACT), alpha)
+    keep = (TREE_ORDER >= 1) & (TREE_ORDER <= q)
+    return _frozen(np.where(keep, w - target, 0.0))
 
 
 def resolve_free_weights(
@@ -510,19 +581,37 @@ def resolve_free_weights(
     starting method.  Each free slot appears linearly, with unit coefficient,
     in exactly one start-target row, so the fill is a direct subtraction.
     """
+    w = _weight_vector(weights)
+    ws = _weight_vector(start_weights, " for the starting method")
     if not starting.free:
         return starting
-    w = np.asarray(weights, dtype=float)
-    ws = np.asarray(start_weights, dtype=float)
-    if ws.shape != (N_TREES,):
-        raise DomainError(
-            f"expected a length-{N_TREES} weight vector for the starting method, "
-            f"got {ws.shape}"
-        )
-    probe = np.array(starting.values)
-    probe[list(starting.free)] = 0.0
-    base, _ = _start_stop_values(w, probe)
-    return starting.fill([ws[i] - base[i] for i in starting.free])
+    free = list(starting.free)
+    base = butcher_product(_starting_series(starting), w)
+    return starting.fill(ws[free] - base[free])
+
+
+def companion_residual(
+    main: ButcherTableau,
+    start: ButcherTableau,
+    stop: ButcherTableau,
+    q: int,
+    tol: float = DEFAULT_ORDER_TOL,
+) -> float:
+    """Worst gap between the companions' weights and their targets.
+
+    The main method must carry effective order q (3 or 4) at its own
+    classical order, to ``tol``.  Every tree of order <= q is compared; a
+    NaN weight gives a NaN gap.
+    """
+    if q not in (3, 4):
+        raise DomainError("start/stop targets cover effective orders 3 and 4 only")
+    w, w_start = elementary_weights(main), elementary_weights(start)
+    spec = EffectiveOrderSpec(q, int(classical_order(main)))
+    starting = recover_starting_weights(w, spec, tol=tol)
+    targets = start_stop_targets(w, resolve_free_weights(w, starting, w_start))
+    rows = slice(1, int(np.count_nonzero(TREE_ORDER <= q)))
+    weights = (w_start, elementary_weights(stop))
+    return float(np.max([np.abs(u[rows] - t[rows]) for u, t in zip(weights, targets)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,6 +138,13 @@ def abs_monotonic(
     )
 
 
+def _check_bisection_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(
+            f"bisection tolerance must be finite and nonnegative, got {tol}"
+        )
+
+
 def _bisect(
     feasible: Callable[[float], bool], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
@@ -146,10 +153,7 @@ def _bisect(
     Halves [lo, hi] until it is no wider than ``tol`` or its midpoint rounds
     to an endpoint, so it ends for any tolerance, zero included.
     """
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(
-            f"bisection tolerance must be finite and nonnegative, got {tol}"
-        )
+    _check_bisection_tol(tol)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -232,6 +236,7 @@ def ssp_coefficient(
     returned bracket.  ``tol`` must be finite and nonnegative; the
     bisection also ends when its midpoint rounds to an endpoint.
     """
+    _check_bisection_tol(tol)
     s = tableau.s
     r_max = 2.0 * s
 

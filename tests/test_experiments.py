@@ -251,6 +251,17 @@ class TestMaxSigma:
         with pytest.raises(DomainError, match="tolerance"):
             max_tvd_sigma(scheme_432, grid, 0.6, tol=tol)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+    def test_bad_tolerance_makes_no_probe(self, tol, scheme_432, monkeypatch):
+        probes = []
+        monkeypatch.setattr(
+            experiments, "_monotone_at", lambda *args: probes.append(args)
+        )
+        grid = BurgersGrid(m=50, initial_profile="square_wave")
+        with pytest.raises(DomainError, match="tolerance"):
+            max_tvd_sigma(scheme_432, grid, 0.6, tol=tol)
+        assert probes == []
+
     def test_zero_tolerance_returns(self):
         script = (
             "from essprk.experiments import BurgersGrid, max_tvd_sigma\n"

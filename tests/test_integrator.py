@@ -21,7 +21,7 @@ from essprk.integrator import (
 )
 from essprk.methods import family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
-from essprk.tableau import shu_osher_to_butcher
+from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
 from conftest import make_random_tableau
 
@@ -204,6 +204,15 @@ class TestCompositeScheme:
             CompositeScheme(
                 start=a.start, main=a.main, stop=b.stop, q=4, coefficient=C
             )
+
+    def test_nan_stop_weight_rejected(self):
+        e = lookup("ESSPRK(3,3,2)")
+        b = e.stop.b.copy()
+        b[-1] = np.nan
+        stop = ButcherTableau(A=e.stop.A, b=b)
+        C = ssp_coefficient(e.main).coefficient
+        with pytest.raises(DomainError, match="target"):
+            CompositeScheme(start=e.start, main=e.main, stop=stop, q=3, coefficient=C)
 
     def test_unsupported_order_rejected(self, rk4):
         with pytest.raises(DomainError, match="orders 3 and 4"):

@@ -15,15 +15,15 @@ from essprk.optimizer import (
     _main_constraints,
     _margins,
     _margins_jacobian,
-    _pack_dim,
     _start_stop_constraints,
-    _unpack,
-    _weights_jacobian,
     optimize_main,
     optimize_start_stop,
 )
 from essprk.order_conditions import (
     EffectiveOrderSpec,
+    _pack_dim,
+    _unpack,
+    _weights_jacobian,
     effective_order,
     effective_order_residuals,
     elementary_weights,

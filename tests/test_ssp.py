@@ -228,6 +228,13 @@ class TestBisect:
         with pytest.raises(DomainError, match="tolerance"):
             ssp_coefficient(lookup("SSPRK(3,3)").main, tol=tol)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance_rejected_without_a_bisection(self, tol):
+        # radius 0 already fails here, so no bisection ever runs
+        negative = ButcherTableau(A=np.zeros((2, 2)), b=[1.5, -0.5])
+        with pytest.raises(DomainError, match="tolerance"):
+            ssp_coefficient(negative, tol=tol)
+
     @staticmethod
     def _bounded(feasible):
         # a bisection that does not end fails here instead of hanging
