@@ -389,12 +389,14 @@ def perturbation_pair_tableaux(
         raise DomainError(
             f"{stages} stages give only {dim} coefficients for {count} conditions"
         )
-    weights, jacobian = _packed_weights(stages, slice(1, count + 1))
+    rows = slice(1, count + 1)
+    weights, jacobian = _packed_weights(stages, rows)
     rng = np.random.default_rng(1234)
+    # 100 * dim is least_squares' own default evaluation budget
     config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
     out = []
     for target in (alpha, butcher_inverse(alpha)):
-        goal = target[1 : count + 1]
+        goal = target[rows]
         x = _least_squares_fit(
             lambda x: weights(x) - goal,
             jacobian,

@@ -429,6 +429,7 @@ def effective_order_residuals(
             ]
     return _frozen(res)
 
+
 def effective_order(
     tableau: ButcherTableau, tol: float = DEFAULT_ORDER_TOL
 ) -> OrderEstimate:
