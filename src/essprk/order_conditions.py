@@ -3,13 +3,10 @@
 Everything here works over one table of 18 rooted trees, enough to decide
 order of accuracy through five.  Index 0 is the empty tree; every other
 tree is the sorted tuple of its children's indices, and the table derives
-orders, densities, elementary weights and their Jacobian in (A, b).  A
-tree's stage vector is A times its child's for one child, else the product
-of the stage vectors of the trees carrying the first (larger) and second
-half of its children, so c^4 is formed as c^2 * c^2:
+orders, densities, elementary weights and their Jacobian in (A, b):
 
     idx  children   weight           idx  children   weight
-     1   ()         sum(b)            9   (1,1,1,1)  b.c^4
+     1   ()         sum(b)            9   (1,1,1,1)  b.(c^2*c^2)
      2   (1,)       b.c              10   (1,1,2)    b.(c^2*Ac)
      3   (1,1)      b.c^2            11   (1,3)      b.(c*Ac^2)
      4   (2,)       b.Ac             12   (1,4)      b.(c*A(Ac))
@@ -68,7 +65,7 @@ __all__ = [
     "order5_barrier_witness",
     "butcher_product",
     "butcher_inverse",
-    "companion_residual",
+    "check_companions",
     "DEFAULT_ORDER_TOL",
 ]
 
@@ -308,12 +305,10 @@ def _cut_terms(forests: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(_CUT_ROW, weights=terms, minlength=N_TREES)
 
 
-def _weight_vector(weights, whose: str = "") -> np.ndarray:
+def _weight_vector(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (N_TREES,):
-        raise DomainError(
-            f"expected a length-{N_TREES} weight vector{whose}, got {w.shape}"
-        )
+        raise DomainError(f"expected a length-{N_TREES} weight vector, got {w.shape}")
     return w
 
 
@@ -583,7 +578,7 @@ def resolve_free_weights(
     in exactly one start-target row, so the fill is a direct subtraction.
     """
     w = _weight_vector(weights)
-    ws = _weight_vector(start_weights, " for the starting method")
+    ws = _weight_vector(start_weights)
     if not starting.free:
         return starting
     free = list(starting.free)
@@ -591,28 +586,26 @@ def resolve_free_weights(
     return starting.fill(ws[free] - base[free])
 
 
-def companion_residual(
-    main: ButcherTableau,
-    start: ButcherTableau,
-    stop: ButcherTableau,
-    q: int,
-    tol: float = DEFAULT_ORDER_TOL,
-) -> float:
-    """Worst gap between the companions' weights and their targets.
+def check_companions(
+    main: ButcherTableau, start: ButcherTableau, stop: ButcherTableau, q: int
+) -> None:
+    """Raise unless start and stop hit their targets for main at order q.
 
     The main method must carry effective order q (3 or 4) at its own
-    classical order, to ``tol``.  Every tree of order <= q is compared; a
-    NaN weight gives a NaN gap.
+    classical order.  Every weight of order <= q must match its target to
+    ``DEFAULT_ORDER_TOL``; a NaN weight fails.
     """
     if q not in (3, 4):
         raise DomainError("start/stop targets cover effective orders 3 and 4 only")
     w, w_start = elementary_weights(main), elementary_weights(start)
     spec = EffectiveOrderSpec(q, int(classical_order(main)))
-    starting = recover_starting_weights(w, spec, tol=tol)
+    starting = recover_starting_weights(w, spec)
     targets = start_stop_targets(w, resolve_free_weights(w, starting, w_start))
     rows = slice(1, int(np.count_nonzero(TREE_ORDER <= q)))
     weights = (w_start, elementary_weights(stop))
-    return float(np.max([np.abs(u[rows] - t[rows]) for u, t in zip(weights, targets)]))
+    worst = np.max([np.abs(u[rows] - t[rows]) for u, t in zip(weights, targets)])
+    if not worst <= DEFAULT_ORDER_TOL:
+        raise DomainError(f"start/stop weights miss their targets by {worst:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

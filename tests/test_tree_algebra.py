@@ -24,8 +24,8 @@ from essprk.order_conditions import (
     _weights_jacobian,
     butcher_inverse,
     butcher_product,
+    check_companions,
     classical_order,
-    companion_residual,
     conjugacy_residuals,
     effective_order,
     effective_order_residuals,
@@ -429,34 +429,35 @@ class TestClosedFormsPinnedToProduct:
             )
 
 
-class TestCompanionResidual:
+class TestCheckCompanions:
     def test_catalog_companions_hit_their_targets(self):
         for entry in catalog():
             if entry.start is not None:
-                worst = companion_residual(entry.main, entry.start, entry.stop, entry.q)
-                assert worst <= 1e-10, entry.label
+                check_companions(entry.main, entry.start, entry.stop, entry.q)
 
-    def test_nan_weight_gives_nan(self):
+    def test_nan_weight_fails(self):
         entry = next(e for e in catalog() if e.start is not None)
         b = entry.stop.b.copy()
         b[-1] = np.nan
         stop = ButcherTableau(A=entry.stop.A, b=b)
-        assert np.isnan(companion_residual(entry.main, entry.start, stop, entry.q))
+        with pytest.raises(DomainError, match="target"):
+            check_companions(entry.main, entry.start, stop, entry.q)
 
     def test_swapped_companions_miss(self):
         entry = next(e for e in catalog() if e.label == "ESSPRK(4,4,2)")
-        assert companion_residual(entry.main, entry.stop, entry.start, 4) > 1e-3
+        with pytest.raises(DomainError, match="target"):
+            check_companions(entry.main, entry.stop, entry.start, 4)
 
     @pytest.mark.parametrize("q", [2, 5])
     def test_orders_outside_three_and_four_rejected(self, q):
         entry = next(e for e in catalog() if e.start is not None)
         with pytest.raises(DomainError, match="3 and 4"):
-            companion_residual(entry.main, entry.start, entry.stop, q)
+            check_companions(entry.main, entry.start, entry.stop, q)
 
     def test_uses_the_main_methods_classical_order(self):
         entry = next(e for e in catalog() if e.label == "ESSPRK(4,4,3)")
         assert int(classical_order(entry.main)) == 3
-        assert companion_residual(entry.main, entry.start, entry.stop, 4) <= 1e-10
+        check_companions(entry.main, entry.start, entry.stop, 4)
 
 
 def test_resolve_free_weights_rejects_wrong_length():
@@ -467,5 +468,5 @@ def test_resolve_free_weights_rejects_wrong_length():
     for sw in (starting, resolved):
         with pytest.raises(DomainError, match="length-18"):
             resolve_free_weights(w[:9], sw, w)
-        with pytest.raises(DomainError, match="starting method"):
+        with pytest.raises(DomainError, match="length-18"):
             resolve_free_weights(w, sw, w[:9])
