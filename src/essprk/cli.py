@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EssprkError, TableauParseError
 from .experiments import (
+    VDP_FINAL_TIME,
     BurgersGrid,
     max_tvd_sigma,
     run_tvd,
@@ -97,7 +98,7 @@ def _has_alpha(data: bytes) -> bool:
 def _composite_or_single(args):
     """Pick the bracketed scheme when available and not overridden."""
     tableau, entry = _resolve(args.scheme)
-    if getattr(args, "main_only", False):
+    if args.main_only:
         return tableau, None
     if entry is None or entry.start is None:
         if entry is not None:
@@ -115,16 +116,10 @@ def _cmd_check(args) -> int:
     result = ssp_coefficient(tableau)
 
     weights = None
-    if q > p and q in (3, 4):
-        try:
-            spec = EffectiveOrderSpec(q, p)
-        except DomainError:
-            spec = None
-        if spec is not None:
-            recovered = recover_starting_weights(elementary_weights(tableau), spec)
-            weights = [
-                None if math.isnan(x) else float(x) for x in recovered.values
-            ]
+    if 2 <= p < q <= 4:
+        spec = EffectiveOrderSpec(q, p)
+        recovered = recover_starting_weights(elementary_weights(tableau), spec)
+        weights = [None if math.isnan(x) else float(x) for x in recovered.values]
 
     notes = []
     if estimate.saturated:
@@ -240,7 +235,7 @@ def _cmd_convergence(args) -> int:
     _log(f"fitted slope {slope:.4f}")
     print("n,dt,error")
     for n, err in zip(steps, errors):
-        dt = 50.0 / float(n)
+        dt = VDP_FINAL_TIME / float(n)
         print(f"{int(n)},{dt!r},{float(err)!r}")
     return 0
 

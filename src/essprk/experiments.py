@@ -16,6 +16,7 @@ frozen eighth-order DOP853 tableau of Dormand and Prince
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -37,6 +38,7 @@ from .order_conditions import (
     _pack_dim,
     _packed_weights,
     _starting_series,
+    _trees_through,
     _unpack,
     butcher_inverse,
     classical_order,
@@ -81,6 +83,9 @@ class BurgersGrid:
     initial_profile: str = "continuous"
 
     def __post_init__(self) -> None:
+        # bools are integers to Python, and a fractional m gives a short grid
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise DomainError(f"m must be an integer, got {self.m!r}")
         if self.m < 2:
             raise DomainError(f"need at least 2 cells, got {self.m}")
         if self.initial_profile not in _PROFILES:
@@ -177,13 +182,13 @@ def _variations(steps) -> Iterator[float]:
         yield total_variation(u)
 
 
-def _tvd_report(steps, sigma: float, ivp: IVP, n: int, tv_tol: float) -> TVDReport:
+def _tvd_report(steps, sigma: float, ivp: IVP, n: int) -> TVDReport:
     tv = np.fromiter(_variations(steps), dtype=float, count=n + 1)
     max_increase = float(np.max(np.diff(tv)))
     return TVDReport(
         sigma=sigma,
         tv_series=tv,
-        monotone=bool(max_increase <= tv_tol),
+        monotone=bool(max_increase <= TV_TOL),
         max_increase=max_increase,
         final_time=ivp.tf,
     )
@@ -194,16 +199,15 @@ def run_tvd(
     grid: BurgersGrid,
     sigma: float,
     tf: float,
-    tv_tol: float = TV_TOL,
 ) -> TVDReport:
     """Composite run at dt = sigma * dt_fe with total variation after every step.
 
     The step count is ceil(tf / dt), so the run finishes at or just past tf
-    with the step size held exactly at sigma times the forward Euler limit;
-    the exact final time is reported.
+    with the step size at sigma times the forward Euler limit to within one
+    rounding; the exact final time is reported.
     """
     ivp, n = _burgers_ivp(grid, sigma, tf)
-    return _tvd_report(composite_steps(scheme, ivp, n), sigma, ivp, n, tv_tol)
+    return _tvd_report(composite_steps(scheme, ivp, n), sigma, ivp, n)
 
 
 def run_tvd_single(
@@ -211,12 +215,11 @@ def run_tvd_single(
     grid: BurgersGrid,
     sigma: float,
     tf: float,
-    tv_tol: float = TV_TOL,
 ) -> TVDReport:
     """Same accounting as run_tvd but stepping one method with no bracket."""
     ivp, n = _burgers_ivp(grid, sigma, tf)
     steps = _steps(tableau, tableau, tableau, ivp, n)
-    return _tvd_report(steps, sigma, ivp, n, tv_tol)
+    return _tvd_report(steps, sigma, ivp, n)
 
 
 def _monotone_at(
@@ -291,29 +294,24 @@ def _dop853() -> ButcherTableau:
     return parse_tableau(data)
 
 
-def reference_solution(
-    ivp: IVP,
-    accuracy: float = REFERENCE_ACCURACY,
-    initial_steps: int = 2048,
-    max_doublings: int = 16,
-) -> np.ndarray:
+def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
     """Final state by eighth-order DOP853 stepping with certified step halving.
 
-    Doubles the step count until two consecutive resolutions agree to
-    ``accuracy`` in the max norm, then returns the finer result (its own
-    error is far below the agreement threshold).
+    Doubles the step count from 2048 until two consecutive resolutions
+    agree to ``REFERENCE_ACCURACY`` in the max norm, then returns the finer
+    result (its own error is far below the agreement threshold).
     """
     dop853 = _dop853()
-    n = initial_steps
+    n = 2048
     coarse = run_single(dop853, ivp, n).final
     for _ in range(max_doublings):
         n *= 2
         fine = run_single(dop853, ivp, n).final
-        if float(np.max(np.abs(fine - coarse))) <= accuracy:
+        if float(np.max(np.abs(fine - coarse))) <= REFERENCE_ACCURACY:
             return fine
         coarse = fine
     raise EssprkError(
-        f"reference solution did not converge to {accuracy:g} "
+        f"reference solution did not converge to {REFERENCE_ACCURACY:g} "
         f"within {n} steps"
     )
 
@@ -372,7 +370,8 @@ def perturbation_pair_tableaux(
     The perturbation fixes target weights with zero weight on the one-node
     tree, so any method hitting them has weights summing to zero, hence
     some negative ones: the pair demonstrates why composites use the
-    combined start/stop methods instead.  Deterministic solve, no seeds.
+    combined start/stop methods instead.  Each method has ``stages``
+    stages, q by default.  Deterministic solve, no seeds.
     """
     from .optimizer import SearchConfig, _least_squares_fit
 
@@ -381,9 +380,8 @@ def perturbation_pair_tableaux(
     starting = recover_starting_weights(w, EffectiveOrderSpec(scheme.q, p))
     resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
     alpha = _starting_series(resolved)
-    count = 4 if scheme.q == 3 else 8
-    if stages is None:
-        stages = 3 if scheme.q == 3 else 4
+    count = _trees_through(scheme.q)
+    stages = scheme.q if stages is None else stages
     dim = _pack_dim(stages)
     if dim < count:
         raise DomainError(
@@ -405,7 +403,7 @@ def perturbation_pair_tableaux(
             config,
         )
         residual = float(np.max(np.abs(weights(x) - goal)))
-        if residual > 1e-9:
+        if not residual <= 1e-9:
             raise EssprkError(
                 f"perturbation method solve stalled at residual {residual:.2e}"
             )

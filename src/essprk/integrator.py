@@ -77,7 +77,8 @@ class CompositeScheme:
     def __post_init__(self) -> None:
         check_companions(self.main, self.start, self.stop, self.q)
         measured = ssp_coefficient(self.main).coefficient
-        if abs(measured - self.coefficient) > _COEFFICIENT_TOL:
+        # written so that a NaN coefficient fails
+        if not abs(measured - self.coefficient) <= _COEFFICIENT_TOL:
             raise DomainError(
                 f"declared coefficient {self.coefficient!r} is not the main "
                 f"method's certified value {measured!r}"

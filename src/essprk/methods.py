@@ -185,34 +185,20 @@ def _verify_entry(entry: CatalogEntry) -> None:
         check_companions(main, entry.start, entry.stop, entry.q)
 
 
-def _entry_with_files(
-    label: str, stem: str, q: int, p: int, coefficient: float
+def _entry(
+    label: str,
+    main: ButcherTableau,
+    q: int,
+    p: int,
+    coefficient: float,
+    stem: str | None = None,
 ) -> CatalogEntry:
-    return CatalogEntry(
-        label=label,
-        main=_load_tableau(f"{stem}.json"),
-        start=_load_tableau(f"{stem}_start.json"),
-        stop=_load_tableau(f"{stem}_stop.json"),
-        q=q,
-        p=p,
-        ssp_coefficient=coefficient,
-    )
-
-
-def _family_entry(n: int) -> CatalogEntry:
-    s = n * n + 1
-    main = shu_osher_to_butcher(
-        family_n2p1(n), label=f"ESSPRK({s},4,2)", q=4, p=2
-    )
-    return CatalogEntry(
-        label=f"ESSPRK({s},4,2)",
-        main=main,
-        start=None,
-        stop=None,
-        q=4,
-        p=2,
-        ssp_coefficient=float(n * n - n),
-    )
+    """A catalog entry; ``stem`` names its start/stop companion files."""
+    start = stop = None
+    if stem is not None:
+        start = _load_tableau(f"{stem}_start.json")
+        stop = _load_tableau(f"{stem}_stop.json")
+    return CatalogEntry(label, main, start, stop, q, p, coefficient)
 
 
 @lru_cache(maxsize=1)
@@ -223,47 +209,24 @@ def catalog() -> tuple[CatalogEntry, ...]:
     effective order; the rest are standalone baselines or family members.
     """
     entries = [
-        CatalogEntry(
-            label="ESSPRK(3,3,2)",
-            main=essprk_332(DEFAULT_GAMMA_332),
-            start=_load_tableau("essprk_3_3_2_start.json"),
-            stop=_load_tableau("essprk_3_3_2_stop.json"),
-            q=3,
-            p=2,
-            ssp_coefficient=1.0,
-        ),
-        CatalogEntry(
-            label="ESSPRK(4,3,2)",
-            main=essprk_432(DEFAULT_GAMMA_432),
-            start=_load_tableau("essprk_4_3_2_start.json"),
-            stop=_load_tableau("essprk_4_3_2_stop.json"),
-            q=3,
-            p=2,
-            ssp_coefficient=2.0,
-        ),
-        _entry_with_files("ESSPRK(4,4,2)", "essprk_4_4_2", 4, 2, 0.88),
-        _entry_with_files("ESSPRK(4,4,3)", "essprk_4_4_3", 4, 3, 0.78),
-        _entry_with_files("ESSPRK(5,4,2)", "essprk_5_4_2", 4, 2, 1.97),
-        _family_entry(3),
-        _family_entry(4),
-        CatalogEntry(
-            label="SSPRK(3,3)",
-            main=ssprk_33(),
-            start=None,
-            stop=None,
-            q=3,
-            p=3,
-            ssp_coefficient=1.0,
-        ),
-        CatalogEntry(
-            label="SSPRK(4,3)",
-            main=ssprk_43(),
-            start=None,
-            stop=None,
-            q=3,
-            p=3,
-            ssp_coefficient=2.0,
-        ),
+        _entry("ESSPRK(3,3,2)", essprk_332(DEFAULT_GAMMA_332), 3, 2, 1.0,
+               "essprk_3_3_2"),
+        _entry("ESSPRK(4,3,2)", essprk_432(DEFAULT_GAMMA_432), 3, 2, 2.0,
+               "essprk_4_3_2"),
+        _entry("ESSPRK(4,4,2)", _load_tableau("essprk_4_4_2.json"), 4, 2, 0.88,
+               "essprk_4_4_2"),
+        _entry("ESSPRK(4,4,3)", _load_tableau("essprk_4_4_3.json"), 4, 3, 0.78,
+               "essprk_4_4_3"),
+        _entry("ESSPRK(5,4,2)", _load_tableau("essprk_5_4_2.json"), 4, 2, 1.97,
+               "essprk_5_4_2"),
+    ]
+    for n in (3, 4):
+        label = f"ESSPRK({n * n + 1},4,2)"
+        main = shu_osher_to_butcher(family_n2p1(n), label=label, q=4, p=2)
+        entries.append(_entry(label, main, 4, 2, float(n * n - n)))
+    entries += [
+        _entry("SSPRK(3,3)", ssprk_33(), 3, 3, 1.0),
+        _entry("SSPRK(4,3)", ssprk_43(), 3, 3, 2.0),
     ]
     for entry in entries:
         _verify_entry(entry)

@@ -32,9 +32,11 @@ from .order_conditions import (
     N_TREES,
     EffectiveOrderSpec,
     StartingWeights,
+    _check_companion_order,
     _pack_dim,
     _packed_weights,
     _tangents,
+    _trees_through,
     _unpack,
     _weights_jacobian,
     effective_order_residuals,
@@ -232,7 +234,7 @@ def _start_stop_constraints(
     The targets are affine in the free weights f, so they are base + D f,
     with D from unit differences.
     """
-    rows = slice(1, 5 if q == 3 else 9)
+    rows = slice(1, _trees_through(q) + 1)
 
     def targets(f):
         return np.concatenate(
@@ -410,10 +412,7 @@ def optimize_start_stop(
     """
     config = config or SearchConfig()
     spec = main.spec
-    if spec.q not in (3, 4):
-        raise DomainError(
-            "start/stop construction covers effective orders 3 and 4 only"
-        )
+    _check_companion_order(spec.q)
     s = main.tableau.s
     s_start = start_stages if start_stages is not None else s + 1
     s_stop = stop_stages if stop_stages is not None else s

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,7 +108,10 @@ _IDENTITY = _frozen(np.eye(N_TREES)[0])
 
 DEFAULT_ORDER_TOL = 1e-10
 
-_VALID_ORDER_PAIRS = {(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)}
+
+def _trees_through(q: int) -> int:
+    """Number of (nonempty) trees of order at most q; they are indices 1 to it."""
+    return int(np.count_nonzero(TREE_ORDER[1:] <= q))
 
 
 class OrderEstimate(int):
@@ -117,12 +121,9 @@ class OrderEstimate(int):
     "at least five".  ``saturated`` is True exactly in that case.
     """
 
-    saturated: bool
-
-    def __new__(cls, value: int, saturated: bool = False) -> "OrderEstimate":
-        self = super().__new__(cls, value)
-        self.saturated = bool(saturated)
-        return self
+    @property
+    def saturated(self) -> bool:
+        return int(self) == 5
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.saturated:
@@ -134,17 +135,19 @@ class OrderEstimate(int):
 class EffectiveOrderSpec:
     """Target pair (q, p): effective order q with classical order p.
 
-    Only the attainable combinations with 2 <= p < q <= 5 are accepted.
+    Only the attainable combinations, integers with 2 <= p < q <= 5, are
+    accepted.
     """
 
     q: int
     p: int
 
     def __post_init__(self) -> None:
-        if (self.q, self.p) not in _VALID_ORDER_PAIRS:
+        integers = all(isinstance(k, numbers.Integral) for k in (self.q, self.p))
+        if not (integers and 2 <= self.p < self.q <= 5):
             raise DomainError(
                 f"unsupported order pair (q={self.q}, p={self.p}); "
-                f"expected one of {sorted(_VALID_ORDER_PAIRS)}"
+                "expected integers with 2 <= p < q <= 5"
             )
 
 
@@ -346,8 +349,7 @@ def _finite(tableau: ButcherTableau) -> bool:
 
 def _ladder(passed: np.ndarray, row_order: np.ndarray) -> OrderEstimate:
     """Largest p <= 5 such that every row of order at most p passed."""
-    order = int(row_order[~passed].min(initial=6)) - 1
-    return OrderEstimate(order, saturated=(order == 5))
+    return OrderEstimate(int(row_order[~passed].min(initial=6)) - 1)
 
 
 def classical_order(
@@ -361,7 +363,9 @@ def classical_order(
     """
     if not _finite(tableau):
         return OrderEstimate(0)
-    passed = np.abs(elementary_weights(tableau) - _EXACT)[1:] <= tol
+    # huge finite entries may overflow to inf or NaN, which fail their rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        passed = np.abs(elementary_weights(tableau) - _EXACT)[1:] <= tol
     return _ladder(passed, TREE_ORDER[1:])
 
 
@@ -440,7 +444,8 @@ def effective_order(
     """
     if not _finite(tableau):
         return OrderEstimate(0)
-    res = effective_order_residuals(elementary_weights(tableau), _GATE_SPEC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = effective_order_residuals(elementary_weights(tableau), _GATE_SPEC)
     # written so that a NaN residual fails its gate
     return _ladder(np.abs(res) <= tol, _GATE_ORDER)
 
@@ -453,9 +458,9 @@ def recover_starting_weights(
     """Starting weights implied by a main method of effective order (q, p).
 
     Weights of order below q are forced by the main method and are filled in;
-    weights of order q itself stay free (slots 3, 4 for q = 3 and 5..8 for
-    q = 4) for the start/stop search to choose.  Raises when the main method
-    does not satisfy the (q, p) conditions to ``tol``.
+    weights of the trees of order q itself stay free for the start/stop
+    search to choose, and those above q are zero.  Raises when the main
+    method does not satisfy the (q, p) conditions to ``tol``.
     """
     w = np.asarray(weights, dtype=float)
     res = effective_order_residuals(w, spec)
@@ -467,20 +472,18 @@ def recover_starting_weights(
             best_residuals=res,
         )
     q, p = spec.q, spec.p
+    order = TREE_ORDER[:9]
     v = np.full(9, np.nan)
     v[0] = 1.0
     v[1] = 0.0
     v[2] = 0.0 if p >= 3 else _second_weight_from_third_tree(w[3])
-    if q == 3:
-        free = (3, 4)
-        v[5:] = 0.0  # order-4 slots never enter an order-3 composite
-    else:
+    v[order > q] = 0.0  # slots above order q never enter the composite
+    if q >= 4:
         if p == 2:
             v[3] = 1.0 / 12.0 - 0.5 * w[3] + w[5] / 3.0
         else:
             v[3] = -1.0 / 12.0 + w[5] / 3.0
         v[4] = -1.0 / 24.0 - w[5] / 3.0 + w[6]
-        free = (5, 6, 7, 8) if q == 4 else ()
     if q == 5:
         b2sq = v[2] * v[2]
         if p == 2:
@@ -504,7 +507,7 @@ def recover_starting_weights(
             v[6] = -0.025 - 0.125 * w[9] + 0.5 * w[10]
             v[7] = -1.0 / 60.0 + 0.25 * w[9] - w[10] + w[11]
         v[8] = -1.0 / 120.0 + b2sq + 0.125 * w[9] - 0.5 * w[10] + w[12]
-    return StartingWeights(v, free)
+    return StartingWeights(v, tuple(np.flatnonzero(order == q)))
 
 
 def _starting_series(starting: StartingWeights) -> np.ndarray:
@@ -586,6 +589,12 @@ def resolve_free_weights(
     return starting.fill(ws[free] - base[free])
 
 
+def _check_companion_order(q: int) -> None:
+    # the starting weights cover the trees through order four
+    if q not in (3, 4):
+        raise DomainError("start/stop targets cover effective orders 3 and 4 only")
+
+
 def check_companions(
     main: ButcherTableau, start: ButcherTableau, stop: ButcherTableau, q: int
 ) -> None:
@@ -595,13 +604,12 @@ def check_companions(
     classical order.  Every weight of order <= q must match its target to
     ``DEFAULT_ORDER_TOL``; a NaN weight fails.
     """
-    if q not in (3, 4):
-        raise DomainError("start/stop targets cover effective orders 3 and 4 only")
+    _check_companion_order(q)
     w, w_start = elementary_weights(main), elementary_weights(start)
     spec = EffectiveOrderSpec(q, int(classical_order(main)))
     starting = recover_starting_weights(w, spec)
     targets = start_stop_targets(w, resolve_free_weights(w, starting, w_start))
-    rows = slice(1, int(np.count_nonzero(TREE_ORDER <= q)))
+    rows = slice(1, _trees_through(q) + 1)
     weights = (w_start, elementary_weights(stop))
     worst = np.max([np.abs(u[rows] - t[rows]) for u, t in zip(weights, targets)])
     if not worst <= DEFAULT_ORDER_TOL:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["ssp_coefficient"] == 0.0
         assert any("negative weight" in note for note in doc["notes"])
+
+    def test_overflowing_entry_gives_verdict_silently(self, capsys, tmp_path):
+        A = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1e155, 0.25, 0.0]])
+        path = tmp_path / "big.json"
+        tableau = ButcherTableau(A=A, b=np.array([0.25, 0.25, 0.5]))
+        path.write_bytes(emit_tableau(tableau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["classical_order"] == 1
 
     def test_missing_target(self, capsys):
         code, _, err = run_cli(capsys, "check", "nope.json")

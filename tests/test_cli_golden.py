@@ -1,4 +1,5 @@
-"""Byte-stable CLI output: ``check`` for every catalog label, and ``catalog``.
+"""Byte-stable CLI output: ``check`` and ``ssp`` for every catalog label, and
+``catalog``.
 
 ``data/cli_golden.json`` holds the stdout each command printed when the
 fixture was captured.  Any change to a printed byte, the last digit of a
@@ -23,7 +24,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 
 def commands():
-    return [["check", entry.label] for entry in catalog()] + [["catalog"]]
+    labels = [entry.label for entry in catalog()]
+    return ([[cmd, label] for cmd in ("check", "ssp") for label in labels]
+            + [["catalog"]])
 
 
 def stdout_of(argv):

@@ -75,6 +75,11 @@ class TestGrid:
         with pytest.raises(DomainError, match="cells"):
             BurgersGrid(m=1)
 
+    @pytest.mark.parametrize("m", [2.5, 200.0, True])
+    def test_rejects_non_integer_cell_count(self, m):
+        with pytest.raises(DomainError, match="integer"):
+            BurgersGrid(m=m)
+
     def test_rejects_unknown_profile(self):
         with pytest.raises(DomainError, match="initial_profile"):
             BurgersGrid(initial_profile="sawtooth")

@@ -196,6 +196,13 @@ class TestCompositeScheme:
                 start=e.start, main=e.main, stop=e.stop, q=e.q, coefficient=0.88
             )
 
+    def test_nan_coefficient_rejected(self):
+        e = lookup("ESSPRK(4,4,2)")
+        with pytest.raises(DomainError, match="certified"):
+            CompositeScheme(
+                start=e.start, main=e.main, stop=e.stop, q=e.q, coefficient=math.nan
+            )
+
     def test_mismatched_companions_rejected(self):
         a = lookup("ESSPRK(4,4,2)")
         b = lookup("ESSPRK(4,4,3)")

@@ -1,5 +1,7 @@
 """Order machinery: elementary weights, order ladders, starting weights."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from essprk.order_conditions import (
     TREE_DENSITY,
     TREE_ORDER,
     EffectiveOrderSpec,
+    OrderEstimate,
     StartingWeights,
     classical_order,
     conjugacy_residuals,
@@ -75,6 +78,10 @@ class TestClassicalOrder:
         assert isinstance(est, int)
         assert est + 1 == 5
 
+    def test_saturated_exactly_at_order_five(self):
+        for order in range(6):
+            assert OrderEstimate(order).saturated == (order == 5)
+
     def test_tolerance_matters(self, ssprk33):
         # a sloppy tolerance accepts the order-four conditions too
         assert classical_order(ssprk33, tol=1.0) >= 4
@@ -90,6 +97,18 @@ class TestEffectiveOrderSpec:
     def test_rejects_unsupported_pairs(self, q, p):
         with pytest.raises(DomainError):
             EffectiveOrderSpec(q, p)
+
+    def test_accepts_exactly_the_attainable_pairs(self):
+        accepted = set()
+        for q, p in itertools.product(range(8), repeat=2):
+            try:
+                EffectiveOrderSpec(q, p)
+            except DomainError:
+                continue
+            accepted.add((q, p))
+        assert accepted == {(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)}
+        with pytest.raises(DomainError, match="2 <= p < q <= 5"):
+            EffectiveOrderSpec(4.5, 2)
 
 
 class TestEffectiveOrder:

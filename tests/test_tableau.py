@@ -58,11 +58,11 @@ class TestButcherTableau:
         assert validate(ssprk33) == []
         assert validate(rk4) == []
 
-    def test_validate_catches_upper_entries(self):
-        A = np.zeros((2, 2))
-        A[0, 1] = 0.5
-        problems = validate(ButcherTableau(A=A, b=np.array([0.5, 0.5])))
-        assert any("triangular" in p for p in problems)
+    def test_construction_rejects_upper_entries(self):
+        # stepping would read the lower triangle and the row sums the whole A
+        A = np.array([[0.0, 5.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"A\[0,1\] != 0 on or above"):
+            ButcherTableau(A=A, b=np.array([0.5, 0.5]))
 
     def test_validate_catches_nonfinite(self):
         A = np.zeros((2, 2))
@@ -107,6 +107,21 @@ class TestShuOsher:
         alpha[1, 0] = 0.4  # v + sum(alpha) = 0.9
         with pytest.raises(ValueError, match="expected 1"):
             ShuOsherForm(v=v, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("field,index", [("v", (2,)), ("alpha", (2, 1))])
+    def test_rejects_nan_stage_row(self, field, index):
+        form = classic_shu_osher_33()
+        parts = {"v": form.v.copy(), "alpha": form.alpha.copy(), "beta": form.beta}
+        parts[field][index] = np.nan
+        with pytest.raises(ValueError, match="expected 1"):
+            ShuOsherForm(**parts)
+
+    def test_nan_beta_converts_to_non_finite_tableau(self):
+        form = classic_shu_osher_33()
+        beta = form.beta.copy()
+        beta[2, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite tableau"):
+            shu_osher_to_butcher(ShuOsherForm(v=form.v, alpha=form.alpha, beta=beta))
 
     def test_file_round_trip(self):
         form = classic_shu_osher_33()
