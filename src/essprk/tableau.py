@@ -112,18 +112,17 @@ def validate(tableau: ButcherTableau, *,
     unreachable stages) are appended; these are prefixed "warning:" and do
     not indicate invalidity.
     """
-    A, b, s = tableau.A, tableau.b, tableau.s
+    A, b = tableau.A, tableau.b
     problems = []
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
         problems.append("non-finite coefficient")
     if include_warnings:
-        for j in range(s):
-            if b[j] == 0.0:
-                if np.all(A[:, j] == 0.0):
-                    problems.append(f"warning: stage {j} is unreachable "
-                                    "(zero weight and never used)")
-                else:
-                    problems.append(f"warning: zero weight b[{j}]")
+        for j in np.flatnonzero(b == 0.0):
+            if np.all(A[:, j] == 0.0):
+                problems.append(f"warning: stage {j} is unreachable "
+                                "(zero weight and never used)")
+            else:
+                problems.append(f"warning: zero weight b[{j}]")
     return problems
 
 
