@@ -279,7 +279,9 @@ def max_tvd_sigma(
 
 
 def _vdp_rhs(u: np.ndarray) -> np.ndarray:
-    return np.array([u[1], VDP_MU * (1.0 - u[0] * u[0]) * u[1] - u[0]])
+    # Python floats round as numpy scalars do, at about half the call cost
+    x, y = u.tolist()
+    return np.array([y, VDP_MU * (1.0 - x * x) * y - x])
 
 
 def vdp_ivp() -> IVP:
@@ -363,15 +365,16 @@ def vdp_single_convergence(tableau: ButcherTableau):
 
 
 def perturbation_pair_tableaux(
-    scheme: CompositeScheme, stages: int | None = None
+    scheme: CompositeScheme,
 ) -> tuple[ButcherTableau, ButcherTableau]:
     """Methods realizing the raw perturbation and its inverse directly.
 
     The perturbation fixes target weights with zero weight on the one-node
     tree, so any method hitting them has weights summing to zero, hence
     some negative ones: the pair demonstrates why composites use the
-    combined start/stop methods instead.  Each method has ``stages``
-    stages, q by default.  Deterministic solve, no seeds.
+    combined start/stop methods instead.  Each method has q stages, whose
+    packed coefficients outnumber the trees through order q for the
+    orders a composite admits.  Deterministic solve, no seeds.
     """
     from .optimizer import SearchConfig, _least_squares_fit
 
@@ -381,14 +384,9 @@ def perturbation_pair_tableaux(
     resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
     alpha = _starting_series(resolved)
     count = _trees_through(scheme.q)
-    stages = scheme.q if stages is None else stages
-    dim = _pack_dim(stages)
-    if dim < count:
-        raise DomainError(
-            f"{stages} stages give only {dim} coefficients for {count} conditions"
-        )
+    dim = _pack_dim(scheme.q)
     rows = slice(1, count + 1)
-    weights, jacobian = _packed_weights(stages, rows)
+    weights, jacobian = _packed_weights(scheme.q, rows)
     rng = np.random.default_rng(1234)
     # 100 * dim is least_squares' own default evaluation budget
     config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
@@ -407,5 +405,5 @@ def perturbation_pair_tableaux(
             raise EssprkError(
                 f"perturbation method solve stalled at residual {residual:.2e}"
             )
-        out.append(ButcherTableau(*_unpack(x, stages)))
+        out.append(ButcherTableau(*_unpack(x, scheme.q)))
     return out[0], out[1]

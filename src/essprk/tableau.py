@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -25,6 +26,13 @@ def _frozen(a, shape=None):
         raise ValueError(f"expected shape {shape}, got {out.shape}")
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=32)
+def _on_or_above_diagonal(s: int) -> np.ndarray:
+    mask = np.triu(np.ones((s, s), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +58,8 @@ class ButcherTableau:
             raise ValueError("b must be a nonempty vector")
         s = b.size
         A = _frozen(self.A, (s, s))
-        if np.triu(A).any():
+        # counts NaN as nonzero, so a NaN on or above the diagonal fails
+        if np.count_nonzero(A[_on_or_above_diagonal(s)]):
             i, j = np.argwhere(np.triu(A))[0]
             raise ValueError(f"A[{i},{j}] != 0 on or above the diagonal")
         object.__setattr__(self, "A", A)

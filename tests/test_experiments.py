@@ -396,6 +396,23 @@ class TestSlopeFit:
             convergence_slope([0.1, 0.05], [1e-12, 1e-12])
 
 
+def reference_vdp_rhs(u):
+    """The numpy-scalar van der Pol formula _vdp_rhs must reproduce."""
+    return np.array(
+        [u[1], experiments.VDP_MU * (1.0 - u[0] * u[0]) * u[1] - u[0]]
+    )
+
+
+def test_vdp_rhs_matches_numpy_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(2012)
+    # magnitudes from 1e-3 to 1e3 exercise the rounding of every term
+    states = rng.normal(size=(1000, 2)) * 10.0 ** rng.uniform(-3, 3, (1000, 2))
+    for u in states:
+        out = experiments._vdp_rhs(u)
+        assert out.dtype == np.float64 and out.shape == (2,)
+        assert out.tobytes() == reference_vdp_rhs(u).tobytes()
+
+
 class TestVdpConvergence:
     def test_third_order_composite(self, scheme_432):
         steps, errors, slope = vdp_convergence(scheme_432)

@@ -1,6 +1,7 @@
 """Stepping, composite runs, observation semantics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from essprk.integrator import (
     shu_osher_step,
     trajectory_csv,
 )
-from essprk.methods import family_n2p1, lookup
+from essprk.experiments import _dop853
+from essprk.methods import catalog, family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
@@ -52,6 +54,14 @@ class TestIVP:
     def test_scalar_initial_state_promoted(self):
         ivp = IVP(rhs=lambda u: u, u0=2.0, t0=0.0, tf=1.0)
         assert ivp.u0.shape == (1,)
+
+
+def structured_tableaux():
+    """Every catalog main, start and stop tableau, and DOP853."""
+    out = [_dop853()]
+    for entry in catalog():
+        out += [t for t in (entry.main, entry.start, entry.stop) if t is not None]
+    return out
 
 
 def reference_rk_step(tableau, rhs, u, dt):
@@ -110,6 +120,42 @@ class TestRkStep:
 
         out = rk_step(tableau, rhs, u, 0.03)
         assert out.tobytes() == reference_rk_step(tableau, rhs, u, 0.03).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4000])
+    def test_structured_tableaux_match_reference_bit_for_bit(self, m):
+        # catalog and DOP853 rows have exact zeros, which random ones lack
+        rng = np.random.default_rng(m)
+        u = rng.normal(size=m)
+
+        def rhs(v):
+            return np.cos(v) - 0.2 * v * v
+
+        for tableau in structured_tableaux():
+            out = rk_step(tableau, rhs, u, 0.07)
+            expected = reference_rk_step(tableau, rhs, u, 0.07)
+            assert out.tobytes() == expected.tobytes(), tableau.label
+
+    @pytest.mark.parametrize("m", [2, 4000])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_slope_at_each_stage_raises_silently(self, bad, m):
+        tableau = _dop853()
+        u = np.linspace(-1.0, 1.0, m)
+        for stage in range(tableau.s):
+            calls = []
+
+            def rhs(v):
+                calls.append(0)
+                out = np.sin(v)
+                if len(calls) == stage + 1:
+                    out[m // 2] = bad
+                return out
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteState) as info:
+                    rk_step(tableau, rhs, u, 0.01)
+            assert info.value.stage == stage
+            assert len(calls) == stage + 1
 
     def test_overflowing_sum_of_finite_slopes_is_not_an_error(self, forward_euler):
         # a screen that tests only the sum of the slopes would reject this

@@ -64,6 +64,24 @@ class TestButcherTableau:
         with pytest.raises(ValueError, match=r"A\[0,1\] != 0 on or above"):
             ButcherTableau(A=A, b=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "entries, first",
+        [
+            ({(0, 1): np.nan}, "0,1"),
+            ({(2, 2): -np.inf}, "2,2"),
+            ({(1, 2): 1.0, (0, 2): np.nan, (2, 0): 3.0}, "0,2"),
+        ],
+    )
+    def test_construction_names_first_nonzero_or_nan_upper_entry(
+        self, entries, first
+    ):
+        A = np.zeros((3, 3))
+        A[1, 0] = 1.0
+        for ij, value in entries.items():
+            A[ij] = value
+        with pytest.raises(ValueError, match=rf"A\[{first}\] != 0 on or above"):
+            ButcherTableau(A=A, b=np.full(3, 1 / 3))
+
     def test_validate_catches_nonfinite(self):
         A = np.zeros((2, 2))
         A[1, 0] = np.nan
