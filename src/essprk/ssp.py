@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError
 from .tableau import ButcherTableau
@@ -88,14 +87,17 @@ def _transformed(A: np.ndarray, b: np.ndarray, r: float):
     """Raw transform: X with X(I + rA) = [A; b], and the leftover column."""
     s = b.size
     K = np.vstack([A, b])
-    M = np.eye(s) + r * A
-    # X solves X M = K; transposed it is a single triangular solve.
-    # check_finite off so NaN input reaches the infeasibility reporting
-    # instead of raising inside scipy.
-    X = solve_triangular(
-        M, K.T, lower=True, trans="T", unit_diagonal=True, check_finite=False
-    ).T
-    rem = 1.0 - r * X.sum(axis=1)
+    # X solves X M = K, that is M^T X^T = K^T.  M^T is upper triangular
+    # with a diagonal of ones, so its LU factorisation exchanges no rows
+    # and meets no zero pivot: the solve is the back substitution LAPACK's
+    # triangular solver runs, bit for bit.  Overflow and NaN pass through,
+    # silently, to the finiteness check of abs_monotonic.  X is kept
+    # C-ordered, the layout that solver returned: the row sums below and
+    # the argmin in abs_monotonic read it in memory order.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.eye(s) + r * A
+        X = np.ascontiguousarray(np.linalg.solve(M.T, K.T).T)
+        rem = 1.0 - r * X.sum(axis=1)
     return X, rem
 
 

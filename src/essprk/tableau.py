@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError, TableauParseError
 
@@ -152,11 +151,28 @@ def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
     """
     s = form.s
     al, be = form.alpha, form.beta
-    # alpha_top is strictly lower triangular, so this system is unit lower
-    # triangular and cannot be singular; a non-finite beta or an overflow
-    # (finite entries near 1e308) ends in the check below
-    A = solve_triangular(np.eye(s) - al[:s], be[:s], lower=True,
-                         unit_diagonal=True, check_finite=False)
+    # A solves (I - alpha_top) A = beta_top, a unit lower triangular system.
+    # Row i is scaled by 2^e_i, chosen so that each diagonal entry stays the
+    # largest in its column (2^e_k > 2^e_i |alpha_ik| for k < i): LU then
+    # exchanges no rows, and as scaling by a power of two is exact while
+    # values stay normal, A is what LAPACK's triangular solver gives, bit
+    # for bit.  A scale that underflows to zero (|alpha| products past
+    # 2^1074 along a chain of stages) is refused.  A is kept Fortran-ordered,
+    # the layout that solver returned: elementary_weights rounds
+    # differently on a C-ordered A.  A non-finite beta or an overflow
+    # (finite entries near 1e308) ends in the check below.
+    bits = np.maximum(np.frexp(al[:s])[1], 0).tolist()  # |alpha| < 2^bits
+    e = [0]
+    for row in bits[1:]:
+        e.append(min(ek - bk for ek, bk in zip(e, row)))
+    scale = np.ldexp(1.0, e)[:, None]
+    try:
+        A = np.asfortranarray(
+            np.linalg.solve(scale * (np.eye(s) - al[:s]), scale * be[:s]))
+    except np.linalg.LinAlgError:
+        # the zero pivot of a row whose scale underflowed
+        raise DomainError("Shu-Osher form has products of alpha along a "
+                          "chain of stages beyond the float range") from None
     with np.errstate(over="ignore", invalid="ignore"):
         b = be[s] + al[s] @ A
     if not (np.isfinite(A).all() and np.isfinite(b).all()):

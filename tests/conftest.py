@@ -17,12 +17,21 @@ def run_python(script, timeout):
 
     A child process lets a test fail on ``timeout`` instead of hanging.
     """
+    return _run_interpreter(["-c", script], timeout)
+
+
+def run_module(module, *args, timeout):
+    """Run ``python -m module args`` like :func:`run_python`."""
+    return _run_interpreter(["-m", module, *args], timeout)
+
+
+def _run_interpreter(argv, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
+        [sys.executable, *argv], env=env, capture_output=True,
         text=True, timeout=timeout,
     )
 

@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 from essprk import cli
 from essprk.cli import _ssp_payload, main
 from essprk.errors import TableauParseError
-from essprk.methods import catalog
-from essprk.tableau import ButcherTableau, emit_tableau, parse_shu_osher
+from essprk.methods import catalog, family_n2p1
+from essprk.tableau import (
+    ButcherTableau,
+    ShuOsherForm,
+    emit_shu_osher,
+    emit_tableau,
+    parse_shu_osher,
+)
 
-from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc, run_python
+from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc, run_module, run_python
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +93,45 @@ class TestCheck:
         assert doc["stages"] == 10
         assert doc["effective_order"] == 4
         assert doc["ssp_coefficient"] == pytest.approx(6.0, abs=1e-6)
+
+
+class TestOverflowingFiles:
+    """Finite entries whose products overflow end as a verdict or an error.
+
+    Either way the command writes no warning and no traceback, even with
+    warnings turned into errors.
+    """
+
+    @staticmethod
+    def assert_contained(capsys, command, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, str(path))
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert code in (1, 2)
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "ssp"])
+    def test_butcher_file(self, capsys, tmp_path, command):
+        tableau = ButcherTableau(A=np.tril(np.full((3, 3), 1e300), -1),
+                                 b=np.array([0.25, 0.25, 0.5]))
+        path = tmp_path / "huge.json"
+        path.write_bytes(emit_tableau(tableau))
+        self.assert_contained(capsys, command, path)
+
+    def test_shu_osher_file(self, capsys, tmp_path):
+        alpha = np.array([[0.0, 0.0, 0.0], [-3.0, 0.0, 0.0],
+                          [1e200, -1e200, 0.0], [0.5, 0.0, 0.5]])
+        beta = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                         [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        form = ShuOsherForm(v=1.0 - alpha.sum(axis=1), alpha=alpha, beta=beta)
+        path = tmp_path / "huge-alpha.json"
+        path.write_bytes(emit_shu_osher(form))
+        self.assert_contained(capsys, "check", path)
 
 
 class TestMalformedFiles:
@@ -443,6 +488,38 @@ def test_commands_leave_scipy_optimize_unloaded():
     )
     proc = run_python(script, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # only the optimizer needs scipy
+    path = tmp_path / "sparse.json"
+    path.write_bytes(emit_shu_osher(family_n2p1(3)))
+    script = (
+        "import contextlib, io, sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import essprk\n"
+        "from essprk import cli\n"
+        "essprk.catalog()\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for command in ('check', 'ssp'):\n"
+        f"        for target in ('SSPRK(3,3)', {str(path)!r}):\n"
+        "            assert cli.main([command, target]) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "essprk.optimize_main\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    proc = run_python(script, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_essprk_runs_the_cli():
+    package = run_module("essprk", "catalog", timeout=120)
+    module = run_module("essprk.cli", "catalog", timeout=120)
+    assert package.returncode == 0, package.stderr
+    assert package.stdout == module.stdout
+    assert json.loads(package.stdout)[0]["label"] == "ESSPRK(3,3,2)"
 
 
 def test_console_script_installed():

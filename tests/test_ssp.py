@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from essprk import ssp
 from essprk.errors import DomainError
@@ -21,6 +22,26 @@ from essprk.ssp import (
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
 from conftest import make_random_tableau, run_python
+
+
+def reference_transformed(A, b, r):
+    """Oracle: the transform by scipy's triangular solve.
+
+    ``ssp._transformed`` solves with ``numpy.linalg.solve`` and must give
+    the same bits and a C-ordered X.
+    """
+    s = b.size
+    K = np.vstack([A, b])
+    M = np.eye(s) + r * A
+    X = solve_triangular(
+        M, K.T, lower=True, trans="T", unit_diagonal=True, check_finite=False
+    ).T
+    return X, 1.0 - r * X.sum(axis=1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_ssp_coefficient(
@@ -163,6 +184,57 @@ class TestCoefficient:
             assert abs_monotonic(t, f * C).feasible
         if res.bracket[0] < res.bracket[1]:  # not capped
             assert not abs_monotonic(t, 1.01 * C + 1e-6).feasible
+
+
+class TestTransformOracle:
+    """``_transformed`` gives scipy's triangular solve bit for bit."""
+
+    @staticmethod
+    def assert_matches(tableau, r):
+        X, rem = ssp._transformed(tableau.A, tableau.b, r)
+        X0, rem0 = reference_transformed(tableau.A, tableau.b, r)
+        assert X.flags.c_contiguous
+        assert_same_bits(X, X0)
+        assert_same_bits(rem, rem0)
+
+    def assert_matches_at_known_radii(self, tableau):
+        for r in (0.0, 0.5, 1.0, *ssp_coefficient(tableau).bracket):
+            self.assert_matches(tableau, r)
+
+    @pytest.mark.parametrize("tableau", list(_catalog_tableaux()))
+    def test_catalog(self, tableau):
+        self.assert_matches_at_known_radii(tableau)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sparse_family(self, n, branch):
+        self.assert_matches_at_known_radii(
+            shu_osher_to_butcher(family_n2p1(n, branch)))
+
+    def test_random_tableaux(self):
+        rng = np.random.default_rng(20122)
+        for k in range(1500):
+            if k % 3:
+                tableau = _random_oracle_tableau(rng)
+            else:
+                tableau = make_random_tableau(
+                    rng, int(rng.integers(2, 18)), nonnegative=False)
+            self.assert_matches(tableau, rng.uniform(0.0, 2.0 * tableau.s))
+
+    @pytest.mark.parametrize("entry", [1e155, 1e300, 1.7e308, np.nan])
+    def test_non_finite_verdict_unchanged(self, entry, monkeypatch):
+        A = np.array([[0.0, 0.0, 0.0], [entry, 0.0, 0.0], [0.25, entry, 0.0]])
+        tableau = ButcherTableau(A=A, b=np.array([0.2, 0.3, 0.5]))
+        for r in (0.0, 0.5, 1.0, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = abs_monotonic(tableau, r)
+            with monkeypatch.context() as patch, np.errstate(all="ignore"):
+                patch.setattr(ssp, "_transformed", reference_transformed)
+                want = abs_monotonic(tableau, r)
+            assert got.feasible == want.feasible
+            assert got.worst_entry == want.worst_entry
+            assert got.worst_index == want.worst_index
 
 
 class TestPolynomialScreen:

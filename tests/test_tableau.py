@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from essprk.errors import DomainError, TableauParseError
+from essprk.methods import family_n2p1
 from essprk.tableau import (
     ButcherTableau,
     ShuOsherForm,
@@ -33,6 +35,43 @@ def classic_shu_osher_33():
     alpha[2, 1] = beta[2, 1] = 0.25
     alpha[3, 2] = beta[3, 2] = 2 / 3
     return ShuOsherForm(v=v, alpha=alpha, beta=beta)
+
+
+def reference_shu_osher_to_butcher(form):
+    """Oracle: the conversion's (A, b) by scipy's triangular solve.
+
+    ``shu_osher_to_butcher`` solves with ``numpy.linalg.solve`` and must
+    give the same bits and a Fortran-ordered A.
+    """
+    s = form.s
+    al, be = form.alpha, form.beta
+    A = solve_triangular(np.eye(s) - al[:s], be[:s], lower=True,
+                         unit_diagonal=True, check_finite=False)
+    return A, be[s] + al[s] @ A
+
+
+def _random_form(rng, alpha_lo, alpha_hi):
+    """Random explicit form of 2-17 stages; v closes each row to one."""
+    s = int(rng.integers(2, 18))
+    below = np.tril(np.ones((s + 1, s)), -1)
+    alpha = rng.uniform(alpha_lo, alpha_hi, (s + 1, s)) * below
+    beta = rng.uniform(0.0, 1.0, (s + 1, s)) * below
+    return ShuOsherForm(v=1.0 - alpha.sum(axis=1), alpha=alpha, beta=beta)
+
+
+def _paired_form(rng, x):
+    """Random form whose rows from stage 2 on hold alpha = +y and -y, |y| <= x.
+
+    The pair cancels exactly in v + sum(alpha), so x may be huge.
+    """
+    s = int(rng.integers(3, 18))
+    alpha = np.zeros((s + 1, s))
+    for i in range(2, s + 1):
+        j, k = rng.choice(i, size=2, replace=False)
+        alpha[i, j] = x * rng.uniform(-1.0, 1.0)
+        alpha[i, k] = -alpha[i, j]
+    beta = rng.uniform(0.0, 1.0, (s + 1, s)) * np.tril(np.ones((s + 1, s)), -1)
+    return ShuOsherForm(v=np.ones(s + 1), alpha=alpha, beta=beta)
 
 
 class TestButcherTableau:
@@ -147,6 +186,60 @@ class TestShuOsher:
         assert np.array_equal(back.v, form.v)
         assert np.array_equal(back.alpha, form.alpha)
         assert np.array_equal(back.beta, form.beta)
+
+
+class TestConversionOracle:
+    """``shu_osher_to_butcher`` gives scipy's triangular solve bit for bit."""
+
+    @staticmethod
+    def assert_matches(form):
+        tableau = shu_osher_to_butcher(form)
+        A, b = reference_shu_osher_to_butcher(form)
+        assert tableau.A.flags.f_contiguous
+        assert tableau.A.tobytes() == A.tobytes()
+        assert tableau.b.tobytes() == b.tobytes()
+
+    def test_classic_method(self):
+        self.assert_matches(classic_shu_osher_33())
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sparse_family(self, n, branch):
+        self.assert_matches(family_n2p1(n, branch))
+
+    def test_random_convex_forms(self):
+        rng = np.random.default_rng(20123)
+        for _ in range(1000):
+            self.assert_matches(_random_form(rng, 0.0, 1.0))
+
+    def test_random_forms_with_large_alpha(self):
+        # an unscaled LU would exchange rows on these
+        rng = np.random.default_rng(20124)
+        tested = 0
+        while tested < 1000:
+            form = _random_form(rng, -3.0, 3.0)
+            if np.abs(form.alpha).max() > 1.0:
+                self.assert_matches(form)
+                tested += 1
+
+    @pytest.mark.parametrize("x", [1e12, 1e18])
+    def test_random_forms_with_huge_alpha(self, x):
+        # 16 stages of |alpha| < 2^60 need scales down to 2^-960 at most
+        rng = np.random.default_rng(20125)
+        for _ in range(200):
+            self.assert_matches(_paired_form(rng, x))
+
+    def test_alpha_products_beyond_the_float_range_are_refused(self):
+        # the scale of the last stage would be 2^-1330
+        alpha = np.zeros((5, 4))
+        alpha[2, :2] = [1e200, -1e200]
+        alpha[3, [0, 2]] = [1e200, -1e200]
+        alpha[4, 3] = 1.0
+        beta = np.zeros((5, 4))
+        beta[1, 0] = beta[4, 3] = 1.0
+        form = ShuOsherForm(v=1.0 - alpha.sum(axis=1), alpha=alpha, beta=beta)
+        with pytest.raises(DomainError, match="float range"):
+            shu_osher_to_butcher(form)
 
 
 class TestTableauFiles:
