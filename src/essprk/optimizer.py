@@ -29,12 +29,12 @@ from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, OrderConditionsInfeasible
 from .order_conditions import (
-    N_TREES,
     EffectiveOrderSpec,
     StartingWeights,
     _check_companion_order,
     _pack_dim,
     _packed_weights,
+    _residual_jacobian,
     _tangents,
     _trees_through,
     _unpack,
@@ -148,19 +148,6 @@ def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     return x
 
 
-def _residual_jacobian(w: np.ndarray, spec: EffectiveOrderSpec) -> np.ndarray:
-    """Jacobian of ``effective_order_residuals`` in the weights at ``w``.
-
-    The residuals are at most quadratic in the weights (affine for q <= 4),
-    so a central difference with unit step is exact up to rounding.
-    """
-    cols = []
-    for e in np.eye(N_TREES):
-        plus = effective_order_residuals(w + e, spec)
-        cols.append(0.5 * (plus - effective_order_residuals(w - e, spec)))
-    return np.stack(cols, axis=1)
-
-
 def _structural(s: int) -> np.ndarray:
     """Mask of the transformed (s+1) x s entries that are not always zero."""
     return np.arange(s + 1)[:, None] > np.arange(s)
@@ -212,16 +199,13 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
 
 def _main_constraints(s: int, spec: EffectiveOrderSpec):
     """Order residuals of a packed s-stage tableau and their exact Jacobian."""
-    # affine residuals have one Jacobian in the weights everywhere
-    R = _residual_jacobian(np.zeros(N_TREES), spec) if spec.q <= 4 else None
     weights, weights_jacobian = _packed_weights(s)
 
     def fun(x):
         return effective_order_residuals(weights(x), spec)
 
     def jac(x):
-        Rx = R if R is not None else _residual_jacobian(weights(x), spec)
-        return Rx @ weights_jacobian(x)
+        return _residual_jacobian(weights(x), spec) @ weights_jacobian(x)
 
     return fun, jac
 
@@ -399,28 +383,22 @@ def optimize_main(
 def optimize_start_stop(
     main: MainSearchOutcome,
     config: SearchConfig | None = None,
-    start_stages: int | None = None,
-    stop_stages: int | None = None,
 ) -> StartStopOutcome:
     """Jointly search for starting and stopping methods for ``main``.
 
     Decision variables are the two tableaux, the free perturbation weights
     of order q and a common radius, which the search maximizes; the
     reported ``min_radius`` is the smaller of the two certified SSP
-    coefficients.  Stage counts default to s+1 for the starting method and
-    s for the stopping method.
+    coefficients.  The starting method has s+1 stages and the stopping
+    method s, for a main method of s stages.
     """
     config = config or SearchConfig()
     spec = main.spec
     _check_companion_order(spec.q)
     s = main.tableau.s
-    s_start = start_stages if start_stages is not None else s + 1
-    s_stop = stop_stages if stop_stages is not None else s
-    if s_start < 2 or s_stop < 2:
-        raise DomainError("start and stop methods need at least 2 stages")
     w_main = elementary_weights(main.tableau)
     starting = recover_starting_weights(w_main, spec, tol=config.residual_tol)
-    stages = [s_start, s_stop]
+    stages = [s + 1, s]
     eq, eq_jac = _start_stop_constraints(w_main, starting, stages, spec.q)
 
     def start(k):

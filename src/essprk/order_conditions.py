@@ -27,11 +27,11 @@ are the "starting weights" (order-one weight pinned to zero), makes
 alpha.Phi.alpha^-1 agree with the exact flow E through order q.  Starting
 and stopping methods target alpha.Phi and Phi.alpha^-1.
 
-The elimination of alpha for each attainable (q, p) stays hand-written:
-:func:`effective_order_residuals` and :func:`recover_starting_weights`.
-One generated from the product agrees to rounding but moves the starting
-weights ``essprk check`` prints in their last bits; the tests pin these
-closed forms to the product instead.
+For each attainable (q, p), :func:`effective_order_residuals` and
+:func:`recover_starting_weights` read one elimination of alpha from
+Phi - alpha^-1.E.alpha, generated from the product in exact integer
+arithmetic on first use and compiled to constant arrays, so a call runs
+no product.  The tests pin it to the hand-written closed forms.
 """
 
 from __future__ import annotations
@@ -149,12 +149,6 @@ class EffectiveOrderSpec:
                 f"unsupported order pair (q={self.q}, p={self.p}); "
                 "expected integers with 2 <= p < q <= 5"
             )
-
-
-# effective_order gates on the rows of effective_order_residuals at (5, 2),
-# whose orders these are
-_GATE_SPEC = EffectiveOrderSpec(5, 2)
-_GATE_ORDER = _frozen([1, 2, 3, 4, 4, 5, 5, 5, 5, 5])
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +337,103 @@ def butcher_inverse(a) -> np.ndarray:
     return _frozen(inverse)
 
 
+# in units of _H^order at each tree, the exact flow's weights are integers
+_H = int(np.lcm.reduce(TREE_DENSITY[1:]))
+
+
+@lru_cache(maxsize=1)
+def _conjugate_expansion() -> tuple:
+    """alpha^-1.E.alpha = E + L alpha + Q alpha(2)^2, in units of _H^order.
+
+    Every slot of alpha but alpha(1) = 0 has order two or more, so no
+    product of three slots fits in five nodes, and of the products of two
+    only alpha(2)^2 survives (the tests hold the expansion to the product).
+    The product gives L and Q at alpha = +-1 in one slot; in these units
+    all of it is integers, exact in floats.  Returns the units, E, L by
+    tree and slot, and Q.
+    """
+    units = np.array([_H ** int(k) for k in TREE_ORDER] + [_H**4], dtype=object)
+    scale = units.astype(float)
+    flow = np.r_[1.0, scale[1:N_TREES] / TREE_DENSITY[1:]]
+
+    def target(slot, value):
+        alpha = _IDENTITY.copy()
+        alpha[slot] = value
+        return butcher_product(butcher_product(butcher_inverse(alpha), flow), alpha)
+
+    linear = np.zeros((N_TREES, 9))
+    for j in range(2, 9):
+        linear[:, j] = (target(j, scale[j]) - target(j, -scale[j])) / (2 * scale[j])
+    square = (target(2, scale[2]) + target(2, -scale[2]) - 2 * flow) / (2 * scale[-1])
+    return units, flow, linear, square
+
+
+@lru_cache(maxsize=None)
+def _elimination(q: int, p: int) -> tuple:
+    """The (q, p) conditions with the starting weights alpha eliminated.
+
+    alpha below order p is 0.  Gauss-Jordan elimination in integers over
+    the slots of orders p to q-1, in tree order, makes the lowest-index
+    independent rows of each order the pivots that fix alpha, and reduces
+    the rest to the residuals w - alpha^-1.E.alpha.  Returns their trees,
+    the terms of the residuals and of alpha(2..8) as affine forms in
+    z = (1, w(1), ..., w(17), alpha(2)^2), and the (entry of z,
+    coefficient) terms of alpha(2).
+    """
+    units, flow, linear, square = _conjugate_expansion()
+    slots = [j for j in range(2, 9) if p <= TREE_ORDER[j] < q]
+    n = len(slots)
+    # row t, over the slots and then z: L alpha + E + Q alpha(2)^2 - w(t),
+    # which is minus the residual at t
+    system = np.column_stack([linear[:, slots], flow, -np.eye(N_TREES)[:, 1:], square])
+    pivots, residuals = {}, {}
+    for t in range(1, _trees_through(q) + 1):
+        row = system[t].astype(np.int64).astype(object)
+        for c, pivot in pivots.items():
+            if row[c]:
+                row = pivot[c] * row - row[c] * pivot
+        lead = np.flatnonzero(row[:n])
+        if lead.size:
+            c = lead[0]
+            for d, P in pivots.items():
+                if P[c]:
+                    pivots[d] = row[c] * P - P[c] * row
+            pivots[c] = row
+        else:
+            residuals[t] = row[n:] * units / (row[n + t] * units[t])
+    alpha = np.zeros((7, N_TREES + 1))
+    for c, P in pivots.items():
+        alpha[slots[c] - 2] = -P[n:] * units / (P[c] * units[slots[c]])
+    second = tuple((int(j), alpha[0, j]) for j in np.flatnonzero(alpha[0]))
+    trees = sorted(residuals)
+    res = np.array([residuals[t] for t in trees], dtype=float)
+    return _frozen(trees), _terms(res), _terms(alpha), second
+
+
+def _terms(forms: np.ndarray) -> tuple:
+    # the nonzero terms of affine forms in z, row by row, constant first
+    row, col = np.nonzero(forms)
+    return row, col, forms[row, col], len(forms)
+
+
+def _inputs(second: tuple, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """z = (1, w(1), ..., w(17), alpha(2)^2) and alpha(2) at the weights w."""
+    z = np.empty(N_TREES + 1)
+    z[:N_TREES] = w
+    z[0] = 1.0
+    a2 = 0.0
+    for j, k in second:
+        a2 += k * z[j]
+    z[-1] = a2 * a2
+    return z, a2
+
+
+def _evaluate(terms: tuple, z: np.ndarray) -> np.ndarray:
+    # term by term, so a non-finite entry of z reaches only the rows using it
+    row, col, coef, n = terms
+    return np.bincount(row, weights=coef * z[col], minlength=n)
+
+
 def _finite(tableau: ButcherTableau) -> bool:
     return bool(np.isfinite(tableau.A).all() and np.isfinite(tableau.b).all())
 
@@ -369,11 +460,6 @@ def classical_order(
     return _ladder(passed, TREE_ORDER[1:])
 
 
-def _second_weight_from_third_tree(w3: float) -> float:
-    # order-two starting weight implied when the classical order stops at two
-    return -1.0 / 6.0 + 0.5 * w3
-
-
 def effective_order_residuals(
     weights: np.ndarray, spec: EffectiveOrderSpec
 ) -> np.ndarray:
@@ -381,52 +467,28 @@ def effective_order_residuals(
 
     ``weights`` is a length-18 elementary-weight vector.  The result is zero
     (to tolerance) exactly when the method has effective order q with
-    classical order p.  For q = 5 with p = 2 the implied order-two starting
-    weight is substituted before evaluating the quadratic terms.
+    classical order p.  Each row is w - alpha^-1.E.alpha at one tree, in
+    tree order, with the starting weights alpha solved from the others.
     """
-    w = _weight_vector(weights)
-    q, p = spec.q, spec.p
-    res = [w[1] - 1.0, w[2] - 0.5]
-    if p >= 3:
-        res.append(w[3] - 1.0 / 3.0)
-    res.append(w[4] - 1.0 / 6.0)
-    if p >= 4:
-        res += [w[5] - 0.25, w[6] - 0.125, w[7] - 1.0 / 12.0]
-    if q >= 4:
-        if p == 2:
-            res.append(0.25 - w[3] + w[5] - 2.0 * w[6] + w[7])
-        elif p == 3:
-            res.append(1.0 / 12.0 - w[5] + 2.0 * w[6] - w[7])
-        res.append(w[8] - 1.0 / 24.0)
-    if q >= 5:
-        res.append(w[17] - 1.0 / 120.0)
-        if p == 2:
-            b2 = _second_weight_from_third_tree(w[3])
-            b2sq = b2 * b2
-            res += [
-                0.25 * w[9] - w[10] + w[13] - b2sq,
-                0.3 - 1.5 * w[3] + w[5] + 0.5 * w[9] - 3.0 * w[10]
-                + 3.0 * w[11] - w[14] - 6.0 * b2sq,
-                1.0 / 15.0 - 0.5 * w[3] + w[6] + 0.5 * w[9] - 2.0 * w[10]
-                + w[11] + w[12] - w[15] - 2.0 * b2sq,
-                19.0 / 60.0 - w[3] + w[5] - 2.0 * w[6] + w[11] - 2.0 * w[12]
-                + w[16] - 4.0 * b2sq,
-            ]
-        elif p == 3:
-            res += [
-                0.25 * w[9] - w[10] + w[13],
-                0.2 - w[5] - 0.5 * w[9] + 3.0 * w[10] - 3.0 * w[11] + w[14],
-                0.1 - w[6] - 0.5 * w[9] + 2.0 * w[10] - w[11] - w[12] + w[15],
-                1.0 / 60.0 - w[5] + 2.0 * w[6] - w[11] + 2.0 * w[12] - w[16],
-            ]
-        else:  # p == 4
-            res += [
-                0.25 * w[9] - w[10] + w[13],
-                0.05 + 0.5 * w[9] - 3.0 * w[10] + 3.0 * w[11] - w[14],
-                0.025 + 0.5 * w[9] - 2.0 * w[10] + w[11] + w[12] - w[15],
-                1.0 / 60.0 - w[11] + 2.0 * w[12] - w[16],
-            ]
-    return _frozen(res)
+    _, terms, _, second = _elimination(spec.q, spec.p)
+    res = _evaluate(terms, _inputs(second, _weight_vector(weights))[0])
+    res.flags.writeable = False
+    return res
+
+
+def _residual_jacobian(w: np.ndarray, spec: EffectiveOrderSpec) -> np.ndarray:
+    """Jacobian of ``effective_order_residuals`` in the weights at ``w``.
+
+    Exact: the residuals are affine in z, and alpha(2) is affine in w.
+    """
+    _, (row, col, coef, n), _, second = _elimination(spec.q, spec.p)
+    J = np.zeros((n, N_TREES + 1))
+    J[row, col] = coef
+    a2 = _inputs(second, w)[1]
+    for j, k in second:
+        J[:, j] += 2.0 * a2 * k * J[:, -1]
+    J[:, 0] = 0.0
+    return J[:, :-1]
 
 
 def effective_order(
@@ -445,9 +507,11 @@ def effective_order(
     if not _finite(tableau):
         return OrderEstimate(0)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = effective_order_residuals(elementary_weights(tableau), _GATE_SPEC)
+        res = effective_order_residuals(
+            elementary_weights(tableau), EffectiveOrderSpec(5, 2)
+        )
     # written so that a NaN residual fails its gate
-    return _ladder(np.abs(res) <= tol, _GATE_ORDER)
+    return _ladder(np.abs(res) <= tol, TREE_ORDER[_elimination(5, 2)[0]])
 
 
 def recover_starting_weights(
@@ -471,43 +535,11 @@ def recover_starting_weights(
             f"(worst residual {worst:.3e} for q={spec.q}, p={spec.p})",
             best_residuals=res,
         )
-    q, p = spec.q, spec.p
-    order = TREE_ORDER[:9]
-    v = np.full(9, np.nan)
-    v[0] = 1.0
-    v[1] = 0.0
-    v[2] = 0.0 if p >= 3 else _second_weight_from_third_tree(w[3])
-    v[order > q] = 0.0  # slots above order q never enter the composite
-    if q >= 4:
-        if p == 2:
-            v[3] = 1.0 / 12.0 - 0.5 * w[3] + w[5] / 3.0
-        else:
-            v[3] = -1.0 / 12.0 + w[5] / 3.0
-        v[4] = -1.0 / 24.0 - w[5] / 3.0 + w[6]
-    if q == 5:
-        b2sq = v[2] * v[2]
-        if p == 2:
-            v[5] = -1.0 / 120.0 + 0.25 * w[3] - 0.5 * w[5] + 0.25 * w[9]
-            v[6] = (
-                7.0 / 720.0 + b2sq + w[3] / 12.0 - 0.5 * w[6]
-                - 0.125 * w[9] + 0.5 * w[10]
-            )
-            v[7] = (
-                8.0 / 45.0 - 2.0 * b2sq - 7.0 / 12.0 * w[3] + 0.5 * w[5]
-                - w[6] + 0.25 * w[9] - w[10] + w[11]
-            )
-        elif p == 3:
-            v[5] = 3.0 / 40.0 - 0.5 * w[5] + 0.25 * w[9]
-            v[6] = 3.0 / 80.0 - 0.5 * w[6] - 0.125 * w[9] + 0.5 * w[10]
-            v[7] = (
-                -1.0 / 60.0 + 0.5 * w[5] - w[6] + 0.25 * w[9] - w[10] + w[11]
-            )
-        else:  # p == 4
-            v[5] = -0.05 + 0.25 * w[9]
-            v[6] = -0.025 - 0.125 * w[9] + 0.5 * w[10]
-            v[7] = -1.0 / 60.0 + 0.25 * w[9] - w[10] + w[11]
-        v[8] = -1.0 / 120.0 + b2sq + 0.125 * w[9] - 0.5 * w[10] + w[12]
-    return StartingWeights(v, tuple(np.flatnonzero(order == q)))
+    _, _, terms, second = _elimination(spec.q, spec.p)
+    v = np.r_[1.0, 0.0, _evaluate(terms, _inputs(second, w)[0])]
+    free = np.flatnonzero(TREE_ORDER[:9] == spec.q)
+    v[free] = np.nan
+    return StartingWeights(v, tuple(free))
 
 
 def _starting_series(starting: StartingWeights) -> np.ndarray:

@@ -20,7 +20,7 @@ ROW_SUM_TOL = 1e-13
 
 
 def _frozen(a, shape=None):
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     if shape is not None and out.shape != shape:
         raise ValueError(f"expected shape {shape}, got {out.shape}")
     out.flags.writeable = False
@@ -39,9 +39,11 @@ class ButcherTableau:
     """Coefficients of an explicit s-stage Runge-Kutta method.
 
     A is s x s strictly lower triangular, which construction enforces, and
-    b the length-s weight vector.  c is derived from the row sums of A on
-    construction.  label, q and p are optional metadata carried through
-    file round-trips; they are never trusted by the verification routines.
+    b the length-s weight vector.  A is stored C-ordered, whatever layout it
+    comes in, so no result depends on how it was built.  c is derived from
+    the row sums of A on construction, inf past the float range.  label, q
+    and p are optional metadata carried through file round-trips; they are
+    never trusted by the verification routines.
     """
 
     A: np.ndarray
@@ -63,7 +65,9 @@ class ButcherTableau:
             raise ValueError(f"A[{i},{j}] != 0 on or above the diagonal")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", _frozen(A.sum(axis=1)))
+        with np.errstate(over="ignore"):
+            c = A.sum(axis=1)
+        object.__setattr__(self, "c", _frozen(c))
 
     @property
     def s(self) -> int:
@@ -157,18 +161,15 @@ def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
     # exchanges no rows, and as scaling by a power of two is exact while
     # values stay normal, A is what LAPACK's triangular solver gives, bit
     # for bit.  A scale that underflows to zero (|alpha| products past
-    # 2^1074 along a chain of stages) is refused.  A is kept Fortran-ordered,
-    # the layout that solver returned: elementary_weights rounds
-    # differently on a C-ordered A.  A non-finite beta or an overflow
-    # (finite entries near 1e308) ends in the check below.
+    # 2^1074 along a chain of stages) is refused.  A non-finite beta or an
+    # overflow (finite entries near 1e308) ends in the check below.
     bits = np.maximum(np.frexp(al[:s])[1], 0).tolist()  # |alpha| < 2^bits
     e = [0]
     for row in bits[1:]:
         e.append(min(ek - bk for ek, bk in zip(e, row)))
     scale = np.ldexp(1.0, e)[:, None]
     try:
-        A = np.asfortranarray(
-            np.linalg.solve(scale * (np.eye(s) - al[:s]), scale * be[:s]))
+        A = np.linalg.solve(scale * (np.eye(s) - al[:s]), scale * be[:s])
     except np.linalg.LinAlgError:
         # the zero pivot of a row whose scale underflowed
         raise DomainError("Shu-Osher form has products of alpha along a "

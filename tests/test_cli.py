@@ -75,6 +75,15 @@ class TestCheck:
         assert code == 0 and err == ""
         assert json.loads(out)["classical_order"] == 1
 
+    @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.label)
+    def test_label_and_its_emitted_file_print_the_same(self, capsys, tmp_path, entry):
+        # one tableau, one verdict: the stored layout of A does not depend
+        # on whether it was converted, built or read back from a file
+        path = tmp_path / "main.json"
+        path.write_bytes(emit_tableau(entry.main))
+        by_label = run_cli(capsys, "check", entry.label)
+        assert by_label == run_cli(capsys, "check", str(path))
+
     def test_missing_target(self, capsys):
         code, _, err = run_cli(capsys, "check", "nope.json")
         assert code == 1
@@ -122,6 +131,21 @@ class TestOverflowingFiles:
         path = tmp_path / "huge.json"
         path.write_bytes(emit_tableau(tableau))
         self.assert_contained(capsys, command, path)
+
+    @pytest.mark.parametrize("command", ["check", "ssp"])
+    def test_row_sum_past_float_range(self, capsys, tmp_path, command):
+        # two finite entries whose sum, the abscissa c, overflows
+        path = tmp_path / "huge-row.json"
+        path.write_text(json.dumps({
+            "label": "huge-row", "s": 3,
+            "A": [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]],
+            "b": [0.25, 0.25, 0.5], "q": None, "p": None,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["label"] == "huge-row"
 
     def test_shu_osher_file(self, capsys, tmp_path):
         alpha = np.array([[0.0, 0.0, 0.0], [-3.0, 0.0, 0.0],

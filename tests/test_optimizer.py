@@ -133,11 +133,6 @@ class TestStartStopSearch:
         with pytest.raises(DomainError, match="orders 3 and 4"):
             optimize_start_stop(main)
 
-    def test_stage_counts_validated(self, ssprk33):
-        main = wrap(ssprk33, EffectiveOrderSpec(3, 2))
-        with pytest.raises(DomainError):
-            optimize_start_stop(main, start_stages=1)
-
 
 class TestExactJacobians:
     @pytest.mark.parametrize("s", [2, 3, 4, 5])

@@ -41,12 +41,14 @@ def reference_shu_osher_to_butcher(form):
     """Oracle: the conversion's (A, b) by scipy's triangular solve.
 
     ``shu_osher_to_butcher`` solves with ``numpy.linalg.solve`` and must
-    give the same bits and a Fortran-ordered A.
+    give the same bits.  b is formed from A in the C order a tableau
+    stores it in, since ``al[s] @ A`` rounds differently by layout.
     """
     s = form.s
     al, be = form.alpha, form.beta
-    A = solve_triangular(np.eye(s) - al[:s], be[:s], lower=True,
-                         unit_diagonal=True, check_finite=False)
+    A = np.ascontiguousarray(solve_triangular(
+        np.eye(s) - al[:s], be[:s], lower=True, unit_diagonal=True,
+        check_finite=False))
     return A, be[s] + al[s] @ A
 
 
@@ -195,7 +197,7 @@ class TestConversionOracle:
     def assert_matches(form):
         tableau = shu_osher_to_butcher(form)
         A, b = reference_shu_osher_to_butcher(form)
-        assert tableau.A.flags.f_contiguous
+        assert tableau.A.flags.c_contiguous
         assert tableau.A.tobytes() == A.tobytes()
         assert tableau.b.tobytes() == b.tobytes()
 

@@ -4,7 +4,8 @@ The ``reference_*`` functions below are the closed forms that
 ``essprk.order_conditions`` and ``essprk.optimizer`` once spelled out term
 by term.  They stay here as independent oracles: the weights and their
 Jacobian must match them bit for bit, the targets built from the Butcher
-product to rounding, and the effective-order gates verdict for verdict.
+product, the eliminated (q, p) conditions and the starting weights to
+rounding, and the effective-order gates verdict for verdict.
 """
 
 import numpy as np
@@ -18,7 +19,9 @@ from essprk.order_conditions import (
     TREE_ORDER,
     EffectiveOrderSpec,
     StartingWeights,
+    _elimination,
     _pack_dim,
+    _residual_jacobian,
     _tangents,
     _unpack,
     _weights_jacobian,
@@ -174,6 +177,91 @@ def reference_effective_order(tableau, tol):
     return order
 
 
+def reference_effective_order_residuals(w, spec):
+    """The (q, p) conditions with alpha eliminated, one closed form per row."""
+    q, p = spec.q, spec.p
+    res = [w[1] - 1.0, w[2] - 0.5]
+    if p >= 3:
+        res.append(w[3] - 1.0 / 3.0)
+    res.append(w[4] - 1.0 / 6.0)
+    if p >= 4:
+        res += [w[5] - 0.25, w[6] - 0.125, w[7] - 1.0 / 12.0]
+    if q >= 4:
+        if p == 2:
+            res.append(0.25 - w[3] + w[5] - 2.0 * w[6] + w[7])
+        elif p == 3:
+            res.append(1.0 / 12.0 - w[5] + 2.0 * w[6] - w[7])
+        res.append(w[8] - 1.0 / 24.0)
+    if q >= 5:
+        res.append(w[17] - 1.0 / 120.0)
+        if p == 2:
+            b2 = -1.0 / 6.0 + 0.5 * w[3]
+            b2sq = b2 * b2
+            res += [
+                0.25 * w[9] - w[10] + w[13] - b2sq,
+                0.3 - 1.5 * w[3] + w[5] + 0.5 * w[9] - 3.0 * w[10]
+                + 3.0 * w[11] - w[14] - 6.0 * b2sq,
+                1.0 / 15.0 - 0.5 * w[3] + w[6] + 0.5 * w[9] - 2.0 * w[10]
+                + w[11] + w[12] - w[15] - 2.0 * b2sq,
+                19.0 / 60.0 - w[3] + w[5] - 2.0 * w[6] + w[11] - 2.0 * w[12]
+                + w[16] - 4.0 * b2sq,
+            ]
+        elif p == 3:
+            res += [
+                0.25 * w[9] - w[10] + w[13],
+                0.2 - w[5] - 0.5 * w[9] + 3.0 * w[10] - 3.0 * w[11] + w[14],
+                0.1 - w[6] - 0.5 * w[9] + 2.0 * w[10] - w[11] - w[12] + w[15],
+                1.0 / 60.0 - w[5] + 2.0 * w[6] - w[11] + 2.0 * w[12] - w[16],
+            ]
+        else:
+            res += [
+                0.25 * w[9] - w[10] + w[13],
+                0.05 + 0.5 * w[9] - 3.0 * w[10] + 3.0 * w[11] - w[14],
+                0.025 + 0.5 * w[9] - 2.0 * w[10] + w[11] + w[12] - w[15],
+                1.0 / 60.0 - w[11] + 2.0 * w[12] - w[16],
+            ]
+    return np.array(res)
+
+
+def reference_recover_starting_weights(w, spec):
+    """The nine starting weights for (q, p), NaN in the free slots."""
+    q, p = spec.q, spec.p
+    order = TREE_ORDER[:9]
+    v = np.full(9, np.nan)
+    v[0] = 1.0
+    v[1] = 0.0
+    v[2] = 0.0 if p >= 3 else -1.0 / 6.0 + 0.5 * w[3]
+    v[order > q] = 0.0
+    if q >= 4:
+        if p == 2:
+            v[3] = 1.0 / 12.0 - 0.5 * w[3] + w[5] / 3.0
+        else:
+            v[3] = -1.0 / 12.0 + w[5] / 3.0
+        v[4] = -1.0 / 24.0 - w[5] / 3.0 + w[6]
+    if q == 5:
+        b2sq = v[2] * v[2]
+        if p == 2:
+            v[5] = -1.0 / 120.0 + 0.25 * w[3] - 0.5 * w[5] + 0.25 * w[9]
+            v[6] = (
+                7.0 / 720.0 + b2sq + w[3] / 12.0 - 0.5 * w[6]
+                - 0.125 * w[9] + 0.5 * w[10]
+            )
+            v[7] = (
+                8.0 / 45.0 - 2.0 * b2sq - 7.0 / 12.0 * w[3] + 0.5 * w[5]
+                - w[6] + 0.25 * w[9] - w[10] + w[11]
+            )
+        elif p == 3:
+            v[5] = 3.0 / 40.0 - 0.5 * w[5] + 0.25 * w[9]
+            v[6] = 3.0 / 80.0 - 0.5 * w[6] - 0.125 * w[9] + 0.5 * w[10]
+            v[7] = -1.0 / 60.0 + 0.5 * w[5] - w[6] + 0.25 * w[9] - w[10] + w[11]
+        else:
+            v[5] = -0.05 + 0.25 * w[9]
+            v[6] = -0.025 - 0.125 * w[9] + 0.5 * w[10]
+            v[7] = -1.0 / 60.0 + 0.25 * w[9] - w[10] + w[11]
+        v[8] = -1.0 / 120.0 + b2sq + 0.125 * w[9] - 0.5 * w[10] + w[12]
+    return v
+
+
 def catalog_tableaux():
     out = []
     for entry in catalog():
@@ -237,6 +325,17 @@ class TestTreeTable:
         for t in tableaux:
             w = elementary_weights(t)
             assert np.array_equal(w, reference_elementary_weights(t)), t.s
+
+    def test_weights_do_not_depend_on_the_layout_of_A(self):
+        rng = np.random.default_rng(14)
+        for k in range(200):
+            s = 1 + k % 17
+            A, b = np.tril(rng.normal(size=(s, s)), -1), rng.normal(size=s)
+            c_layout = ButcherTableau(A=np.ascontiguousarray(A), b=b)
+            f_layout = ButcherTableau(A=np.asfortranarray(A), b=b)
+            assert c_layout.A.flags.c_contiguous and f_layout.A.flags.c_contiguous
+            assert (elementary_weights(c_layout).tobytes()
+                    == elementary_weights(f_layout).tobytes())
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 17])
     def test_jacobian_bit_for_bit(self, s):
@@ -392,9 +491,8 @@ class TestFreeSlots:
                 )
 
 
-# row k of effective_order_residuals at (q, p) is sign * conjugacy_residuals
-# at tree |PINNED[(q, p)][k]|; the other trees of order <= q fix alpha and
-# their conjugacy residuals vanish
+# row k of reference_effective_order_residuals at (q, p) is sign times the
+# generated row, and the conjugacy residual, at tree |PINNED[(q, p)][k]|
 PINNED = {
     (3, 2): (1, 2, 4),
     (4, 2): (1, 2, 4, 7, 8),
@@ -405,27 +503,111 @@ PINNED = {
 }
 
 
+def with_classical_weights(w, p):
+    """w with every weight of order at most p set to the exact flow's."""
+    w = w.copy()
+    classical = (TREE_ORDER >= 1) & (TREE_ORDER <= p)
+    w[classical] = EXACT[classical]
+    return w
+
+
 class TestClosedFormsPinnedToProduct:
     @pytest.mark.parametrize("q,p", sorted(PINNED))
     def test_elimination_matches_conjugacy(self, q, p):
+        # the residual rows are w - alpha^-1.E.alpha at their trees, with
+        # alpha solved so that the conjugacy residuals of the others vanish
         spec = EffectiveOrderSpec(q, p)
         rng = np.random.default_rng(10 * q + p)
-        trees = np.abs(PINNED[(q, p)])
-        signs = np.sign(PINNED[(q, p)])
+        trees = _elimination(q, p)[0]
+        assert trees.tolist() == sorted(np.abs(PINNED[(q, p)]))
         fixing = [
             t for t in range(1, N_TREES) if TREE_ORDER[t] <= q and t not in trees
         ]
         for _ in range(200):
-            w = random_weights(rng)
-            classical = (TREE_ORDER >= 1) & (TREE_ORDER <= p)
-            w[classical] = EXACT[classical]
+            w = with_classical_weights(random_weights(rng), p)
             starting = recover_starting_weights(w, spec, tol=np.inf)
             starting = starting.fill(rng.normal(size=len(starting.free)))
             conj = conjugacy_residuals(w, starting, q)
             assert np.max(np.abs(conj[fixing])) <= 1e-13
             np.testing.assert_allclose(
-                signs * conj[trees], effective_order_residuals(w, spec),
+                conj[trees], effective_order_residuals(w, spec),
                 rtol=1e-13, atol=1e-13,
+            )
+
+
+class TestEliminationAgainstClosedForms:
+    @pytest.mark.parametrize("classical", [False, True], ids=["raw", "classical"])
+    @pytest.mark.parametrize("q,p", sorted(PINNED))
+    def test_rows_match_hand_rows(self, q, p, classical):
+        spec = EffectiveOrderSpec(q, p)
+        pinned = np.array(PINNED[(q, p)])
+        rows = np.searchsorted(_elimination(q, p)[0], np.abs(pinned))
+        rng = np.random.default_rng(100 + 10 * q + p)
+        for _ in range(500):
+            w = random_weights(rng)
+            if classical:
+                w = with_classical_weights(w, p)
+            np.testing.assert_allclose(
+                np.sign(pinned) * effective_order_residuals(w, spec)[rows],
+                reference_effective_order_residuals(w, spec),
+                rtol=1e-13, atol=1e-13,
+            )
+
+    @pytest.mark.parametrize("q,p", sorted(PINNED))
+    def test_starting_weights_match_hand_forms(self, q, p):
+        spec = EffectiveOrderSpec(q, p)
+        rng = np.random.default_rng(200 + 10 * q + p)
+        for _ in range(500):
+            w = with_classical_weights(random_weights(rng), p)
+            starting = recover_starting_weights(w, spec, tol=np.inf)
+            assert starting.free == tuple(np.flatnonzero(TREE_ORDER[:9] == q))
+            np.testing.assert_allclose(
+                starting.values, reference_recover_starting_weights(w, spec),
+                rtol=1e-13, atol=1e-13,
+            )
+
+    def test_starting_weights_below_classical_order_are_zero(self):
+        # at (5, 4) alpha of order three is 0 exactly; the closed forms read
+        # it off w(5) and w(6), which is 0 only once they are exact
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            starting = recover_starting_weights(
+                random_weights(rng), EffectiveOrderSpec(5, 4), tol=np.inf
+            )
+            assert starting.values[2:5].tolist() == [0.0, 0.0, 0.0]
+
+    def test_gate_orders(self):
+        assert TREE_ORDER[_elimination(5, 2)[0]].tolist() == [
+            1, 2, 3, 4, 4, 5, 5, 5, 5, 5,
+        ]
+
+    def test_non_finite_weight_reaches_only_its_rows(self):
+        w = with_classical_weights(np.zeros(N_TREES), 2)
+        w[17] = np.inf
+        res = effective_order_residuals(w, EffectiveOrderSpec(5, 2))
+        assert np.isinf(res[-1])
+        assert np.isfinite(res[:-1]).all()
+
+    @pytest.mark.parametrize("q,p", sorted(PINNED))
+    def test_residual_jacobian_is_exact(self, q, p):
+        # the residuals are at most quadratic in w, so a central difference
+        # with unit step is exact up to rounding
+        spec = EffectiveOrderSpec(q, p)
+        rng = np.random.default_rng(300 + 10 * q + p)
+        for _ in range(50):
+            w = random_weights(rng)
+            diff = np.stack(
+                [0.5 * (reference_effective_order_residuals(w + e, spec)
+                        - reference_effective_order_residuals(w - e, spec))
+                 for e in np.eye(N_TREES)],
+                axis=1,
+            )
+            diff[:, 0] = 0.0
+            rows = np.searchsorted(_elimination(q, p)[0], np.abs(PINNED[(q, p)]))
+            signs = np.sign(PINNED[(q, p)])[:, None]
+            np.testing.assert_allclose(
+                signs * _residual_jacobian(w, spec)[rows], diff,
+                rtol=1e-12, atol=1e-12,
             )
 
 
