@@ -76,15 +76,11 @@ def _resolve(target: str):
     data = path.read_bytes()
     try:
         return parse_tableau(data), None
-    except TableauParseError as tableau_error:
-        try:
-            form = parse_shu_osher(data)
-        except TableauParseError as shu_osher_error:
-            # report the parser of the form the document declares
-            raise (
-                shu_osher_error if _has_alpha(data) else tableau_error
-            ) from None
-        return shu_osher_to_butcher(form, label=path.stem), None
+    except TableauParseError:
+        # a document with an alpha key declares the Shu-Osher form
+        if not _has_alpha(data):
+            raise
+    return shu_osher_to_butcher(parse_shu_osher(data), label=path.stem), None
 
 
 def _has_alpha(data: bytes) -> bool:
@@ -346,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scheme_flags(p)
     p.add_argument("--ic", choices=["continuous", "square"], default="continuous")
-    p.add_argument("--sigma", type=float, required=True,
+    p.add_argument("--sigma", type=_positive_float, required=True,
                    help="step size as a multiple of the forward Euler limit")
-    p.add_argument("--tf", type=float, default=None,
+    p.add_argument("--tf", type=_positive_float, default=None,
                    help="final time (default 1.62 continuous, 0.6 square)")
     p.set_defaults(func=_cmd_burgers)
 
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sigma-table",
         help="largest monotone step ratio for every bracketed catalog method",
     )
-    p.add_argument("--tf", type=float, default=0.6)
+    p.add_argument("--tf", type=_positive_float, default=0.6)
     p.add_argument("--tol", type=_positive_float, default=0.01,
                    help="bisection tolerance, positive and finite")
     p.set_defaults(func=_cmd_sigma_table)

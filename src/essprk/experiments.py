@@ -166,10 +166,10 @@ class TVDReport:
 
 def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float):
     # n = ceil(tf / dt) steps at dt = sigma * dt_fe, ending at n * dt >= tf
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not tf > 0.0:
-        raise DomainError(f"final time must be positive, got {tf}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if not 0.0 < tf < math.inf:
+        raise DomainError(f"final time must be positive and finite, got {tf}")
     dt = sigma * dt_fe(grid)
     n = math.ceil(tf / dt)
     ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)

@@ -4,6 +4,8 @@ Two searches live here.  The main search looks for an s-stage tableau
 maximizing the SSP coefficient subject to the effective-order conditions;
 the start/stop search then builds the preparation and finishing methods a
 composite run needs, maximizing the smaller of their two SSP coefficients.
+It solves the conditions ``check_companions`` tests, with the free
+order-q starting weights eliminated, so x holds only packed tableaux.
 
 Both treat the radius r as a decision variable and maximize it in one
 nonlinear program over z = (x, r): the order conditions are equalities, the
@@ -31,18 +33,16 @@ from .errors import DomainError, OrderConditionsInfeasible
 from .order_conditions import (
     EffectiveOrderSpec,
     StartingWeights,
-    _check_companion_order,
+    _companion_conditions,
     _pack_dim,
     _packed_weights,
     _residual_jacobian,
     _tangents,
-    _trees_through,
     _unpack,
     _weights_jacobian,
     effective_order_residuals,
     elementary_weights,
-    recover_starting_weights,
-    start_stop_targets,
+    resolve_free_weights,
 )
 from .ssp import SSPResult, _transformed, ssp_coefficient
 from .tableau import ButcherTableau
@@ -112,11 +112,11 @@ class MainSearchOutcome:
 class StartStopOutcome:
     """Joint start/stop search result.
 
-    ``starting`` carries the fully resolved perturbation weights;
-    ``free_weights`` repeats just the values the search chose for the
-    order-q slots.  ``min_radius`` is the smaller of the two certified SSP
-    coefficients, and ``success`` records whether it reached the main
-    method's coefficient.
+    ``starting`` carries the perturbation weights resolved from the start
+    method found; ``free_weights`` repeats just their order-q slots.
+    ``min_radius`` is the smaller of the two certified SSP coefficients,
+    and ``success`` records whether it reached the main method's
+    coefficient.
     """
 
     start: ButcherTableau
@@ -133,10 +133,10 @@ class StartStopOutcome:
         object.__setattr__(self, "free_weights", f)
 
 
-def _split(x: np.ndarray, stages) -> tuple[list, np.ndarray]:
-    """Unpack consecutive tableaux of the given stage counts; the rest is free."""
-    *parts, free = np.split(x, np.cumsum([_pack_dim(s) for s in stages]))
-    return [_unpack(part, s) for part, s in zip(parts, stages)], free
+def _split(x: np.ndarray, stages) -> list:
+    """Unpack consecutive tableaux of the given stage counts."""
+    parts = np.split(x, np.cumsum([_pack_dim(s) for s in stages[:-1]]))
+    return [_unpack(part, s) for part, s in zip(parts, stages)]
 
 
 def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
@@ -160,7 +160,7 @@ def _margins(z: np.ndarray, stages) -> np.ndarray:
     give the solver constraints with vanishing gradients.
     """
     out = []
-    for A, b in _split(z[:-1], stages)[0]:
+    for A, b in _split(z[:-1], stages):
         X, rem = _transformed(A, b, z[-1])
         out += [X[_structural(b.size)], rem]
     return np.concatenate(out)
@@ -174,9 +174,8 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
     column 1 - r X 1 follows.
     """
     r = z[-1]
-    tableaux, free = _split(z[:-1], stages)
     blocks, r_col = [], []
-    for A, b in tableaux:
+    for A, b in _split(z[:-1], stages):
         s = b.size
         dA, db = _tangents(s)
         X, _ = _transformed(A, b, r)
@@ -191,10 +190,7 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
         J = np.concatenate([dX[:, _structural(s)], drem], axis=1).T
         blocks.append(J[:, :-1])
         r_col.append(J[:, -1])
-    r_col = np.concatenate(r_col)
-    return np.column_stack(
-        [block_diag(*blocks), np.zeros((r_col.size, free.size)), r_col]
-    )
+    return np.column_stack([block_diag(*blocks), np.concatenate(r_col)])
 
 
 def _main_constraints(s: int, spec: EffectiveOrderSpec):
@@ -210,33 +206,19 @@ def _main_constraints(s: int, spec: EffectiveOrderSpec):
     return fun, jac
 
 
-def _start_stop_constraints(
-    w_main: np.ndarray, starting: StartingWeights, stages, q: int
-):
-    """Start/stop target gaps over (x_start, x_stop, free weights), with Jacobian.
-
-    The targets are affine in the free weights f, so they are base + D f,
-    with D from unit differences.
-    """
-    rows = slice(1, _trees_through(q) + 1)
-
-    def targets(f):
-        return np.concatenate(
-            [t[rows] for t in start_stop_targets(w_main, starting.fill(f))]
-        )
-
-    base = targets(np.zeros(len(starting.free)))
-    D = np.stack([targets(e) - base for e in np.eye(len(starting.free))], axis=1)
+def _start_stop_constraints(targets, gaps, stages):
+    """The start/stop conditions ``gaps`` over (x_start, x_stop), with Jacobian."""
 
     def fun(x):
-        tableaux, f = _split(x, stages)
-        w = [elementary_weights(ButcherTableau(A=A, b=b))[rows] for A, b in tableaux]
-        return np.concatenate(w) - (base + D @ f)
+        start, stop = (
+            elementary_weights(ButcherTableau(A=A, b=b)) - target
+            for (A, b), target in zip(_split(x, stages), targets)
+        )
+        return gaps(start, stop)
 
     def jac(x):
-        tableaux, _ = _split(x, stages)
-        J = [_weights_jacobian(A, b)[rows] for A, b in tableaux]
-        return np.hstack([block_diag(*J), -D])
+        J = block_diag(*[_weights_jacobian(A, b) for A, b in _split(x, stages)])
+        return gaps(*np.split(J, 2))
 
     return fun, jac
 
@@ -268,10 +250,10 @@ def _least_squares_fit(eq, eq_jac, start, lower, config) -> np.ndarray:
 def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray:
     """Best x over the restarts, maximizing the common radius r in each.
 
-    x packs one tableau per entry of ``stages``, then free values;
-    ``start(k)`` gives restart k's initial x.  Each restart first solves
-    for a feasible point with r pinned by its bounds to ``r_floor``, the
-    radius the caller needs at least, then maximizes r on [0, 2 min stages]
+    x packs one tableau per entry of ``stages``; ``start(k)`` gives restart
+    k's initial x.  Each restart first solves for a feasible point with r
+    pinned by its bounds to ``r_floor``, the radius the caller needs at
+    least, then maximizes r on [0, 2 min stages]
     from that point, or from the raw start when it is infeasible.  Every
     solution passing the feasibility check competes.  When none does,
     raises with the residuals of the closest fit with nonnegative tableau
@@ -315,9 +297,7 @@ def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray
             if feasible(z) and (best is None or z[-1] > best[-1]):
                 best = z
     if best is None:
-        lower = np.full(z0.size - 1, -np.inf)
-        lower[: sum(_pack_dim(s) for s in stages)] = 0.0
-        miss = eq(_least_squares_fit(eq, eq_jac, start, lower, config))
+        miss = eq(_least_squares_fit(eq, eq_jac, start, 0.0, config))
         raise OrderConditionsInfeasible(
             f"no feasible point found in {config.restarts} restarts "
             f"(best residual {np.max(np.abs(miss)):.3e})",
@@ -386,41 +366,40 @@ def optimize_start_stop(
 ) -> StartStopOutcome:
     """Jointly search for starting and stopping methods for ``main``.
 
-    Decision variables are the two tableaux, the free perturbation weights
-    of order q and a common radius, which the search maximizes; the
-    reported ``min_radius`` is the smaller of the two certified SSP
-    coefficients.  The starting method has s+1 stages and the stopping
-    method s, for a main method of s stages.
+    Decision variables are the two tableaux and a common radius, which the
+    search maximizes; the free perturbation weights of order q are
+    eliminated from the conditions and resolved from the start method
+    found.  The reported ``min_radius`` is the smaller of the two
+    certified SSP coefficients.  The starting method has s+1 stages and
+    the stopping method s, for a main method of s stages.
     """
     config = config or SearchConfig()
-    spec = main.spec
-    _check_companion_order(spec.q)
     s = main.tableau.s
     w_main = elementary_weights(main.tableau)
-    starting = recover_starting_weights(w_main, spec, tol=config.residual_tol)
+    starting, targets, gaps = _companion_conditions(
+        w_main, main.spec.q, main.spec.p, config.residual_tol
+    )
     stages = [s + 1, s]
-    eq, eq_jac = _start_stop_constraints(w_main, starting, stages, spec.q)
+    eq, eq_jac = _start_stop_constraints(targets, gaps, stages)
 
     def start(k):
         rng = np.random.default_rng((config.seed, k, 1))
-        tableaux = [_random_start(rng, n) for n in stages]
-        return np.concatenate(tableaux + [np.zeros(len(starting.free))])
+        return np.concatenate([_random_start(rng, n) for n in stages])
 
     # pinning the first solve at the main method's coefficient, the radius
     # a useful pair needs, keeps it out of degenerate pairs (stages with zero
     # weight) whose radius is a poor local maximum
     x = _max_radius_search(eq, eq_jac, stages, start, main.ssp.coefficient, config)
-    ((Ar, br), (At, bt)), f = _split(x, stages)
-    start_tab = ButcherTableau(A=Ar, b=br)
-    stop_tab = ButcherTableau(A=At, b=bt)
+    start_tab, stop_tab = [ButcherTableau(A=A, b=b) for A, b in _split(x, stages)]
     min_radius = min(
         ssp_coefficient(start_tab).coefficient, ssp_coefficient(stop_tab).coefficient
     )
+    resolved = resolve_free_weights(w_main, starting, elementary_weights(start_tab))
     return StartStopOutcome(
         start=start_tab,
         stop=stop_tab,
-        starting=starting.fill(f),
-        free_weights=np.array(f),
+        starting=resolved,
+        free_weights=resolved.values[list(starting.free)],
         min_radius=min_radius,
         success=bool(min_radius + 1e-9 >= main.ssp.coefficient),
         worst_residual=float(np.max(np.abs(eq(x)))),

@@ -621,10 +621,41 @@ def resolve_free_weights(
     return starting.fill(ws[free] - base[free])
 
 
-def _check_companion_order(q: int) -> None:
+def _companion_conditions(w, q: int, p: int, tol: float = DEFAULT_ORDER_TOL):
+    """The start/stop conditions for main weights Phi at effective order (q, p).
+
+    Returns the starting weights alpha, their order-q slots free; the
+    targets alpha.Phi and Phi.alpha^-1 with those slots at 0; and the linear
+    map ``gaps(u, v)`` from the start and stop misses of the targets, or
+    from rows of their Jacobians, to the conditions left.  A free slot t
+    adds itself to row t of alpha.Phi, subtracts itself from row t of
+    Phi.alpha^-1 and reaches no other row through order q: start row t
+    becomes the sum of the two rows, and stop row t drops.  ``gaps``
+    slices, so a NaN beyond order q reaches no row.
+    """
     # the starting weights cover the trees through order four
     if q not in (3, 4):
         raise DomainError("start/stop targets cover effective orders 3 and 4 only")
+    starting = recover_starting_weights(w, EffectiveOrderSpec(q, p), tol)
+    alpha = _starting_series(starting)
+    targets = butcher_product(alpha, w), butcher_product(w, butcher_inverse(alpha))
+    low = slice(1, _trees_through(q - 1) + 1)
+    free = slice(low.stop, _trees_through(q) + 1)
+
+    def gaps(u, v):
+        return np.concatenate([u[low], u[free] + v[free], v[low]])
+
+    return starting, targets, gaps
+
+
+def _companion_gaps(
+    main: ButcherTableau, start: ButcherTableau, stop: ButcherTableau, q: int
+) -> np.ndarray:
+    """The conditions :func:`check_companions` thresholds, one per row."""
+    _, (to_start, to_stop), gaps = _companion_conditions(
+        elementary_weights(main), q, int(classical_order(main))
+    )
+    return gaps(elementary_weights(start) - to_start, elementary_weights(stop) - to_stop)
 
 
 def check_companions(
@@ -633,17 +664,11 @@ def check_companions(
     """Raise unless start and stop hit their targets for main at order q.
 
     The main method must carry effective order q (3 or 4) at its own
-    classical order.  Every weight of order <= q must match its target to
-    ``DEFAULT_ORDER_TOL``; a NaN weight fails.
+    classical order.  Every weight of order <= q must match its target,
+    the free starting weights eliminated, to ``DEFAULT_ORDER_TOL``; a NaN
+    weight fails.
     """
-    _check_companion_order(q)
-    w, w_start = elementary_weights(main), elementary_weights(start)
-    spec = EffectiveOrderSpec(q, int(classical_order(main)))
-    starting = recover_starting_weights(w, spec)
-    targets = start_stop_targets(w, resolve_free_weights(w, starting, w_start))
-    rows = slice(1, _trees_through(q) + 1)
-    weights = (w_start, elementary_weights(stop))
-    worst = np.max([np.abs(u[rows] - t[rows]) for u, t in zip(weights, targets)])
+    worst = np.max(np.abs(_companion_gaps(main, start, stop, q)))
     if not worst <= DEFAULT_ORDER_TOL:
         raise DomainError(f"start/stop weights miss their targets by {worst:.3e}")
 

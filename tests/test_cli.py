@@ -351,6 +351,20 @@ class TestBurgersCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--tf"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bad_sigma_or_final_time_is_usage_error(self, capsys, flag, value):
+        args = {"--sigma": "0.9", "--tf": "0.05", flag: value}
+        code, out, err = run_cli(
+            capsys, "burgers", "--scheme", "ESSPRK(4,4,2)",
+            *[text for item in args.items() for text in item],
+        )
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "positive and finite" in errors[0]
+
 
 class TestSigmaTableCommand:
     def test_rows_and_safety_margin(self, capsys):
@@ -378,6 +392,16 @@ class TestSigmaTableCommand:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.01", "1e-400"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run_cli(capsys, "sigma-table", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "bisecting" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "positive and finite" in errors[0]
+
+    @pytest.mark.parametrize("tf", ["nan", "inf", "0", "-0.6"])
+    def test_bad_final_time_is_usage_error(self, capsys, tf):
+        code, out, err = run_cli(capsys, "sigma-table", "--tf", tf)
         assert code == 2
         assert out == ""
         assert "bisecting" not in err

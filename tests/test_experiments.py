@@ -18,6 +18,7 @@ from essprk.experiments import (
     perturbation_pair_tableaux,
     reference_solution,
     run_tvd,
+    run_tvd_single,
     total_variation,
     vdp_convergence,
 )
@@ -235,6 +236,20 @@ class TestRunTvd:
     def test_bad_final_time(self, scheme_442, continuous_grid):
         with pytest.raises(DomainError, match="final time"):
             run_tvd(scheme_442, continuous_grid, 0.5, -1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_sigma_or_final_time(self, scheme_442, continuous_grid, value):
+        with pytest.raises(DomainError, match="sigma"):
+            run_tvd(scheme_442, continuous_grid, value, 1.0)
+        with pytest.raises(DomainError, match="final time"):
+            run_tvd(scheme_442, continuous_grid, 0.5, value)
+        with pytest.raises(DomainError, match="final time"):
+            run_tvd_single(scheme_442.main, continuous_grid, 0.5, value)
+
+    def test_infinite_final_time_stops_the_bisection(self, scheme_442):
+        grid = BurgersGrid(m=50, initial_profile="square_wave")
+        with pytest.raises(DomainError, match="final time"):
+            max_tvd_sigma(scheme_442, grid, np.inf)
 
 
 # sigma_max on the default square grid (tf 0.6, tol 0.01) as printed by

@@ -7,8 +7,10 @@ re-runs the headline recoveries at full precision.
 import numpy as np
 import pytest
 
+from essprk import optimizer
 from essprk.errors import DomainError, OrderConditionsInfeasible
-from essprk.methods import lookup
+from essprk.integrator import CompositeScheme
+from essprk.methods import catalog, lookup
 from essprk.optimizer import (
     MainSearchOutcome,
     SearchConfig,
@@ -20,14 +22,16 @@ from essprk.optimizer import (
     optimize_start_stop,
 )
 from essprk.order_conditions import (
+    TREE_ORDER,
     EffectiveOrderSpec,
+    _companion_conditions,
+    _companion_gaps,
     _pack_dim,
     _unpack,
     _weights_jacobian,
     effective_order,
     effective_order_residuals,
     elementary_weights,
-    recover_starting_weights,
 )
 from essprk.ssp import ssp_coefficient
 from essprk.tableau import ButcherTableau
@@ -151,8 +155,10 @@ class TestExactJacobians:
         x = np.random.default_rng(q + p).uniform(-0.5, 1.0, _pack_dim(5))
         assert_jacobian(jac(x), fun, x)
 
+    # n_free counts values packed after the tableaux: none, since the
+    # start/stop search eliminates the free starting weights
     @pytest.mark.parametrize(
-        "stages,n_free", [([2], 0), ([3], 0), ([5], 0), ([4, 3], 2)]
+        "stages,n_free", [([2], 0), ([3], 0), ([5], 0), ([4, 3], 0)]
     )
     @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])
     def test_margins_including_radius_column(self, stages, n_free, r):
@@ -169,11 +175,10 @@ class TestExactJacobians:
     )
     def test_start_stop_equalities(self, label, q, p):
         main = lookup(label).main
-        w = elementary_weights(main)
-        starting = recover_starting_weights(w, EffectiveOrderSpec(q, p))
+        _, targets, gaps = _companion_conditions(elementary_weights(main), q, p)
         stages = [main.s + 1, main.s]
-        fun, jac = _start_stop_constraints(w, starting, stages, q)
-        n = sum(_pack_dim(s) for s in stages) + len(starting.free)
+        fun, jac = _start_stop_constraints(targets, gaps, stages)
+        n = sum(_pack_dim(s) for s in stages)
         x = np.random.default_rng(main.s).uniform(-0.2, 0.6, n)
         assert_jacobian(jac(x), fun, x)
 
@@ -197,3 +202,48 @@ class TestStartStopForCatalogMains:
             assert np.array_equal(x.A, y.A)
             assert np.array_equal(x.b, y.b)
         assert np.array_equal(a.free_weights, b.free_weights)
+
+
+def packed(tableau):
+    """The packed vector of a tableau: rows of A below the diagonal, then b."""
+    return np.concatenate([tableau.A[np.tril_indices(tableau.s, -1)], tableau.b])
+
+
+class TestOneFormulation:
+    """The search solves exactly the conditions check_companions tests."""
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in catalog() if e.start is not None], ids=lambda e: e.label
+    )
+    def test_search_equalities_are_the_checked_gaps(self, entry, monkeypatch):
+        # stand in for the solver: keep the search's equalities and return
+        # the catalog pair, packed
+        seen = {}
+        x = np.concatenate([packed(entry.start), packed(entry.stop)])
+
+        def search(eq, eq_jac, stages, start, r_floor, config):
+            seen["eq"] = eq
+            return x
+
+        monkeypatch.setattr(optimizer, "_max_radius_search", search)
+        main = wrap(entry.main, EffectiveOrderSpec(entry.q, entry.p))
+        out = optimize_start_stop(main)
+        for found, known in [(out.start, entry.start), (out.stop, entry.stop)]:
+            assert np.array_equal(found.A, known.A)
+            assert np.array_equal(found.b, known.b)
+        gaps = _companion_gaps(entry.main, entry.start, entry.stop, entry.q)
+        assert np.array_equal(seen["eq"](x), gaps)
+        assert out.worst_residual == np.max(np.abs(gaps))
+        assert out.starting.free == ()
+        np.testing.assert_array_equal(
+            out.free_weights, out.starting.values[TREE_ORDER[:9] == entry.q]
+        )
+
+    def test_outcome_composes_with_its_main(self):
+        main = wrap(lookup("ESSPRK(3,3,2)").main, EffectiveOrderSpec(3, 2))
+        out = optimize_start_stop(main, SearchConfig(restarts=1, seed=0))
+        # construction runs check_companions and raises on a miss
+        CompositeScheme(
+            start=out.start, main=main.tableau, stop=out.stop, q=3,
+            coefficient=main.ssp.coefficient,
+        )

@@ -472,23 +472,38 @@ class TestEffectiveOrderGates:
 
 
 class TestFreeSlots:
-    @pytest.mark.parametrize("q,free", [(3, (3, 4)), (4, (5, 6, 7, 8))])
-    def test_each_free_slot_enters_one_start_row_with_unit_coefficient(self, q, free):
+    """A free slot t reaches row t alone through order q, on both sides."""
+
+    @staticmethod
+    def moves(q, free):
+        # (slot, start move, stop move) on the rows through order q when
+        # one free slot goes from 0 to 1, over random weights
         rng = np.random.default_rng(q)
         rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
         for _ in range(20):
             w = random_weights(rng)
             v = random_starting(rng).values.copy()
             v[list(free)] = 0.0
-            base, _ = start_stop_targets(w, StartingWeights(v))
+            base = start_stop_targets(w, StartingWeights(v))
             for slot in free:
                 bumped = v.copy()
                 bumped[slot] = 1.0
-                moved, _ = start_stop_targets(w, StartingWeights(bumped))
-                unit = np.eye(9)[slot]
-                np.testing.assert_allclose(
-                    (moved - base)[rows], unit[rows], atol=1e-12
-                )
+                moved = start_stop_targets(w, StartingWeights(bumped))
+                yield slot, *((m - b)[rows] for m, b in zip(moved, base))
+
+    @pytest.mark.parametrize("q,free", [(3, (3, 4)), (4, (5, 6, 7, 8))])
+    def test_each_free_slot_enters_one_start_row_with_unit_coefficient(self, q, free):
+        rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
+        for slot, start, _ in self.moves(q, free):
+            np.testing.assert_allclose(start, np.eye(9)[slot][rows], atol=1e-12)
+
+    @pytest.mark.parametrize("q,free", [(3, (3, 4)), (4, (5, 6, 7, 8))])
+    def test_each_free_slot_enters_one_stop_row_with_coefficient_minus_one(
+        self, q, free
+    ):
+        rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
+        for slot, _, stop in self.moves(q, free):
+            np.testing.assert_allclose(stop, -np.eye(9)[slot][rows], atol=1e-12)
 
 
 # row k of reference_effective_order_residuals at (q, p) is sign times the
