@@ -15,6 +15,7 @@ frozen eighth-order DOP853 tableau of Dormand and Prince
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .order_conditions import (
     recover_starting_weights,
     resolve_free_weights,
 )
-from .ssp import _bisect, _check_bisection_tol
+from .ssp import _bracket
 from .tableau import ButcherTableau, parse_tableau
 
 __all__ = [
@@ -67,6 +68,8 @@ __all__ = [
 ]
 
 TV_TOL = 1e-10
+# a TV series this long fits in memory; the paper's runs take a few thousand
+MAX_BURGERS_STEPS = 10**7
 REFERENCE_ACCURACY = 1e-11
 VDP_MU = 2.0
 VDP_FINAL_TIME = 50.0
@@ -171,7 +174,14 @@ def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float):
     if not 0.0 < tf < math.inf:
         raise DomainError(f"final time must be positive and finite, got {tf}")
     dt = sigma * dt_fe(grid)
-    n = math.ceil(tf / dt)
+    # dt can underflow to 0 and tf / dt overflow to inf
+    steps = tf / dt if dt > 0.0 else math.inf
+    if not steps < MAX_BURGERS_STEPS:
+        raise DomainError(
+            f"sigma={sigma!r} and tf={tf!r} need {steps:.3g} steps, "
+            f"more than the limit of {MAX_BURGERS_STEPS}"
+        )
+    n = math.ceil(steps)
     ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)
     return ivp, n
 
@@ -231,17 +241,12 @@ def _monotone_at(
     the verdict; a blown-up run is a monotonicity failure, not an error.
     """
     ivp, n = _burgers_ivp(grid, sigma, tf)
+    variations = _variations(composite_steps(scheme, ivp, n))
     try:
-        variations = _variations(composite_steps(scheme, ivp, n))
-        previous = next(variations)
-        for tv in variations:
-            # written so that a NaN increase fails, as in run_tvd
-            if not tv - previous <= TV_TOL:
-                return False
-            previous = tv
+        # a NaN increase fails, as in run_tvd
+        return all(b - a <= TV_TOL for a, b in itertools.pairwise(variations))
     except NonFiniteState:
         return False
-    return True
 
 
 def max_tvd_sigma(
@@ -252,27 +257,24 @@ def max_tvd_sigma(
 ) -> float:
     """Largest observed step ratio keeping total variation monotone.
 
-    Bisection over sigma starting from the bracket [C/2, 2C] around the
-    certified coefficient; returns the upper bracket outright in the
-    (never observed) case that 2C still shows no increase.  Each probe
-    is the verdict of :func:`run_tvd` at default tolerance, but stops
-    stepping at the first increase or blow-up.  The bisection ends once
-    the bracket is no wider than ``tol`` or its midpoint rounds to an
+    Brackets sigma over [C/2, 2C] around the certified coefficient C with
+    the bisection of :func:`essprk.ssp.ssp_coefficient`, and returns the
+    lower end; that is 2C outright in the (never observed) case that 2C
+    still shows no increase, and an error if C/2 already shows one.  Each
+    probe is the verdict of :func:`run_tvd` at default tolerance, but
+    stops stepping at the first increase or blow-up.  The bisection ends
+    once the bracket is no wider than ``tol`` or its midpoint rounds to an
     endpoint; ``tol`` must be finite and nonnegative.
     """
-    _check_bisection_tol(tol)
     C = scheme.coefficient
-    lo, hi = 0.5 * C, 2.0 * C
-    if not _monotone_at(scheme, grid, lo, tf):
+    bracket = _bracket(
+        lambda sigma: _monotone_at(scheme, grid, sigma, tf), 0.5 * C, 2.0 * C, tol
+    )
+    if bracket is None:
         raise EssprkError(
             "spatial discretization not TVD at half the SSP coefficient"
         )
-    if _monotone_at(scheme, grid, hi, tf):
-        return hi
-    lo, _ = _bisect(
-        lambda sigma: _monotone_at(scheme, grid, sigma, tf), lo, hi, tol
-    )
-    return lo
+    return bracket[0]
 
 
 # ---- van der Pol convergence ----

@@ -9,7 +9,7 @@ Everything here is deterministic: no adaptivity, no internal randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -33,8 +33,6 @@ __all__ = [
 ]
 
 RightHandSide = Callable[[np.ndarray], np.ndarray]
-
-_COEFFICIENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,27 +60,22 @@ class IVP:
 class CompositeScheme:
     """Start/main/stop triple verified to run at effective order q.
 
-    Construction recomputes everything it asserts: the main method must
-    actually carry effective order q, the companions must hit their target
-    weights to 1e-10, and ``coefficient`` must match the main method's
-    certified SSP coefficient.
+    Construction checks what the triple claims: the main method must
+    actually carry effective order q and the companions must hit their
+    target weights to 1e-10.  ``coefficient`` is not passed in; it is the
+    main method's certified SSP coefficient, computed once the check holds.
     """
 
     start: ButcherTableau
     main: ButcherTableau
     stop: ButcherTableau
     q: int
-    coefficient: float
+    coefficient: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_companions(self.main, self.start, self.stop, self.q)
-        measured = ssp_coefficient(self.main).coefficient
-        # written so that a NaN coefficient fails
-        if not abs(measured - self.coefficient) <= _COEFFICIENT_TOL:
-            raise DomainError(
-                f"declared coefficient {self.coefficient!r} is not the main "
-                f"method's certified value {measured!r}"
-            )
+        coefficient = ssp_coefficient(self.main).coefficient
+        object.__setattr__(self, "coefficient", coefficient)
 
 
 def composite_from_entry(entry) -> CompositeScheme:
@@ -92,11 +85,7 @@ def composite_from_entry(entry) -> CompositeScheme:
             f"{entry.label} has no start/stop companions in the catalog"
         )
     return CompositeScheme(
-        start=entry.start,
-        main=entry.main,
-        stop=entry.stop,
-        q=entry.q,
-        coefficient=ssp_coefficient(entry.main).coefficient,
+        start=entry.start, main=entry.main, stop=entry.stop, q=entry.q
     )
 
 

@@ -113,24 +113,17 @@ class StartStopOutcome:
     """Joint start/stop search result.
 
     ``starting`` carries the perturbation weights resolved from the start
-    method found; ``free_weights`` repeats just their order-q slots.
-    ``min_radius`` is the smaller of the two certified SSP coefficients,
-    and ``success`` records whether it reached the main method's
-    coefficient.
+    method found.  ``min_radius`` is the smaller of the two certified SSP
+    coefficients, and ``success`` records whether it reached the main
+    method's coefficient.
     """
 
     start: ButcherTableau
     stop: ButcherTableau
     starting: StartingWeights
-    free_weights: np.ndarray
     min_radius: float
     success: bool
     worst_residual: float
-
-    def __post_init__(self) -> None:
-        f = np.array(self.free_weights, dtype=float)
-        f.flags.writeable = False
-        object.__setattr__(self, "free_weights", f)
 
 
 def _split(x: np.ndarray, stages) -> list:
@@ -399,7 +392,6 @@ def optimize_start_stop(
         start=start_tab,
         stop=stop_tab,
         starting=resolved,
-        free_weights=resolved.values[list(starting.free)],
         min_radius=min_radius,
         success=bool(min_radius + 1e-9 >= main.ssp.coefficient),
         worst_residual=float(np.max(np.abs(eq(x)))),

@@ -12,7 +12,9 @@ of Runge-Kutta methods", BIT 1991), so bisection finds R.  Because A is
 nilpotent, (I + rA)^(-1) = sum_k (-rA)^k and the transformed coefficients
 are polynomials in r of degree at most s.  The bisection probes them with
 one product against the powers of r, with no triangular solve; the exact
-solve-based test certifies both ends of the final bracket.
+solve-based test certifies both ends of the final bracket.  A probe whose
+verdict differs from the exact one, as on non-finite values it may, leaves
+an end that fails that check, and the bisection reruns with exact probes.
 """
 
 from __future__ import annotations
@@ -140,22 +142,24 @@ def abs_monotonic(
     )
 
 
-def _check_bisection_tol(tol: float) -> None:
+def _bracket(
+    feasible: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float] | None:
+    """Bracket the end of the feasible interval that starts at ``lo``.
+
+    None when ``lo`` fails and (hi, hi) when ``hi`` holds.  Otherwise
+    halves [lo, hi] until it is no wider than ``tol`` or its midpoint
+    rounds to an endpoint, so it ends for any tolerance, zero included.
+    ``tol`` must be finite and nonnegative; it is checked before any probe.
+    """
     if not 0.0 <= tol < math.inf:
         raise DomainError(
             f"bisection tolerance must be finite and nonnegative, got {tol}"
         )
-
-
-def _bisect(
-    feasible: Callable[[float], bool], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Shrink a bracket with ``feasible(lo)`` true and ``feasible(hi)`` false.
-
-    Halves [lo, hi] until it is no wider than ``tol`` or its midpoint rounds
-    to an endpoint, so it ends for any tolerance, zero included.
-    """
-    _check_bisection_tol(tol)
+    if not feasible(lo):
+        return None
+    if feasible(hi):
+        return hi, hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -167,38 +171,20 @@ def _bisect(
     return lo, hi
 
 
-def _radius_bracket(
-    feasible: Callable[[float], bool], r_max: float, tol: float
-) -> tuple[float, float]:
-    """Bracket of the largest feasible radius in [0, r_max].
-
-    (0, 0) when radius 0 already fails and (r_max, r_max) when r_max holds.
-    """
-    if not feasible(0.0):
-        return 0.0, 0.0
-    if feasible(r_max):
-        return r_max, r_max
-    return _bisect(feasible, 0.0, r_max, tol)
-
-
-def _polynomial_screen(
-    A: np.ndarray,
-    b: np.ndarray,
-    entry_tol: float,
-    exact: Callable[[float], bool],
-) -> Callable[[float], bool]:
+def _polynomial_screen(A: np.ndarray, b: np.ndarray) -> Callable[[float], bool]:
     """Solve-free feasibility probe from the polynomial form of the transform.
 
     X(r) = [A; b] sum_k (-r)^k A^k has degree below s and the leftover
     column 1 + sum_k (-r)^(k+1) [A; b] A^k 1 degree s; one row of ``coef``
-    holds the coefficients of one power of -r.  A probe whose values are
-    not all finite falls back to ``exact``.
+    holds the coefficients of one power of -r.  A probe that meets a NaN
+    reads infeasible; non-finite values may give a verdict other than the
+    exact test's, which the end check of :func:`ssp_coefficient` catches.
     """
     s = b.size
     width = (s + 1) * s
     coef = np.zeros((s + 1, width + s + 1))
     coef[0, width:] = 1.0
-    # entries near the float range overflow here; such probes go exact
+    # entries near the float range overflow here; the end check settles them
     with np.errstate(all="ignore"):
         term = np.vstack([A, b])
         for k in range(s):
@@ -209,19 +195,14 @@ def _polynomial_screen(
 
     def feasible(r: float) -> bool:
         with np.errstate(all="ignore"):
-            values = (-r) ** exponents @ coef
-            worst, top = values.min(), values.max()
-        if math.isfinite(worst) and math.isfinite(top):
-            return bool(worst >= -entry_tol)
-        return exact(r)
+            worst = ((-r) ** exponents @ coef).min()
+        return bool(worst >= -DEFAULT_ENTRY_TOL)
 
     return feasible
 
 
 def ssp_coefficient(
-    tableau: ButcherTableau,
-    tol: float = DEFAULT_BISECTION_TOL,
-    entry_tol: float = DEFAULT_ENTRY_TOL,
+    tableau: ButcherTableau, tol: float = DEFAULT_BISECTION_TOL
 ) -> SSPResult:
     """SSP coefficient by bisection over [0, 2s].
 
@@ -229,32 +210,32 @@ def ssp_coefficient(
     bisection brackets R.  Returns 0 when the test already fails at radius
     0 (some negative coefficient or weight).  Each probe evaluates the
     transformed coefficients as polynomials in the radius, with no solve
-    (see the module docstring); a probe whose values are not all finite
-    uses :func:`abs_monotonic` instead.  :func:`abs_monotonic` then
-    certifies both ends of the bracket: its report at the lower end must
-    be feasible and is the returned certificate, and the upper end must
-    be infeasible.  If either check fails, the bisection runs again with
-    exact probes throughout, so the exact test always certifies the
+    (see the module docstring).  :func:`abs_monotonic` then certifies both
+    ends of the bracket: its report at the lower end must be feasible and
+    is the returned certificate, and the upper end must be infeasible.  A
+    screen verdict that differs from the exact one at any probe, such as
+    one on non-finite values, leaves an end that fails this check, since
+    the exact verdicts form one interval; the bisection then runs again
+    with exact probes throughout, so the exact test always certifies the
     returned bracket.  ``tol`` must be finite and nonnegative; the
     bisection also ends when its midpoint rounds to an endpoint.
     """
-    _check_bisection_tol(tol)
     s = tableau.s
     r_max = 2.0 * s
 
     def exact(r: float) -> bool:
-        return abs_monotonic(tableau, r, entry_tol).feasible
+        return abs_monotonic(tableau, r).feasible
 
-    screen = _polynomial_screen(tableau.A, tableau.b, entry_tol, exact)
-    lo, hi = _radius_bracket(screen, r_max, tol)
-    certificate = abs_monotonic(tableau, lo, entry_tol)
+    screen = _polynomial_screen(tableau.A, tableau.b)
+    lo, hi = _bracket(screen, 0.0, r_max, tol) or (0.0, 0.0)
+    certificate = abs_monotonic(tableau, lo)
     if lo < hi:
         confirmed = certificate.feasible and not exact(hi)
     else:
         confirmed = certificate.feasible == (lo > 0.0)
     if not confirmed:
-        lo, hi = _radius_bracket(exact, r_max, tol)
-        certificate = abs_monotonic(tableau, lo, entry_tol)
+        lo, hi = _bracket(exact, 0.0, r_max, tol) or (0.0, 0.0)
+        certificate = abs_monotonic(tableau, lo)
     return SSPResult(
         coefficient=lo,
         effective_coefficient=lo / s,

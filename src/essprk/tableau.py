@@ -138,13 +138,6 @@ def validate(tableau: ButcherTableau, *,
     return problems
 
 
-def stacked_coefficients(tableau: ButcherTableau) -> np.ndarray:
-    """The (s+1) x s matrix stacking A on top of the weight row b."""
-    out = np.vstack([tableau.A, tableau.b])
-    out.flags.writeable = False
-    return out
-
-
 def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
                          q: int | None = None, p: int | None = None) -> ButcherTableau:
     """Convert a modified Shu-Osher form to the equivalent Butcher tableau.

@@ -59,6 +59,17 @@ def forward_euler():
     return ButcherTableau(A=np.zeros((1, 1)), b=np.ones(1))
 
 
+@pytest.fixture
+def no_stepping(monkeypatch):
+    """Fail any Burgers run that starts stepping, before it fills a series."""
+    from essprk import experiments
+
+    def stepped(steps):
+        raise AssertionError("a Burgers run started stepping")
+
+    monkeypatch.setattr(experiments, "_variations", stepped)
+
+
 def make_random_tableau(rng, s, nonnegative=True):
     """Random explicit tableau; nonnegative entries keep SSP radii positive."""
     A = np.tril(rng.uniform(0.0, 1.0 / s, (s, s)), -1)

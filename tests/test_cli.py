@@ -365,6 +365,24 @@ class TestBurgersCommand:
         assert len(errors) == 1
         assert "positive and finite" in errors[0]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "1e-320"), ("--sigma", "1e-300"), ("--sigma", "1e-12"),
+         ("--sigma", "5e-324"), ("--tf", "1e300")],
+    )
+    def test_too_many_steps_is_an_error(self, capsys, no_stepping, flag, value):
+        args = {"--sigma": "0.9", "--tf": "0.05", flag: value}
+        code, out, err = run_cli(
+            capsys, "burgers", "--scheme", "SSPRK(3,3)",
+            *[text for item in args.items() for text in item],
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "more than the limit" in errors[0]
+
 
 class TestSigmaTableCommand:
     def test_rows_and_safety_margin(self, capsys):
@@ -408,6 +426,15 @@ class TestSigmaTableCommand:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "positive and finite" in errors[0]
+
+    def test_too_many_steps_is_an_error(self, capsys, no_stepping):
+        code, out, err = run_cli(capsys, "sigma-table", "--tf", "1e300")
+        assert code == 1
+        assert out == "q,p,s,sigma_max,percent_over_C\n"
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "more than the limit" in errors[0]
 
 
 class TestUsageErrors:

@@ -251,6 +251,25 @@ class TestRunTvd:
         with pytest.raises(DomainError, match="final time"):
             max_tvd_sigma(scheme_442, grid, np.inf)
 
+    # 1e-320 makes tf / dt overflow and 5e-324 makes dt underflow to 0
+    @pytest.mark.parametrize(
+        "sigma, tf",
+        [(1e-12, 0.6), (1e-300, 0.6), (1e-320, 0.6), (5e-324, 0.6), (0.5, 1e300)],
+    )
+    def test_too_many_steps_rejected_before_stepping(
+        self, scheme_442, no_stepping, sigma, tf
+    ):
+        grid = BurgersGrid(m=50, initial_profile="square_wave")
+        with pytest.raises(DomainError, match="steps, more than the limit"):
+            run_tvd(scheme_442, grid, sigma, tf)
+        with pytest.raises(DomainError, match="steps, more than the limit"):
+            run_tvd_single(scheme_442.main, grid, sigma, tf)
+
+    def test_too_many_steps_stop_the_bisection(self, scheme_442, no_stepping):
+        grid = BurgersGrid(m=50, initial_profile="square_wave")
+        with pytest.raises(DomainError, match="steps, more than the limit"):
+            max_tvd_sigma(scheme_442, grid, 1e300)
+
 
 # sigma_max on the default square grid (tf 0.6, tol 0.01) as printed by
 # `essprk sigma-table` when every probe stepped to its final time; stopping

@@ -235,41 +235,28 @@ class TestCompositeScheme:
         with pytest.raises(DomainError, match="companions"):
             composite_from_entry(lookup("SSPRK(3,3)"))
 
-    def test_wrong_coefficient_rejected(self):
+    def test_coefficient_is_the_main_methods_certified_value(self):
         e = lookup("ESSPRK(4,4,2)")
-        with pytest.raises(DomainError, match="certified"):
-            CompositeScheme(
-                start=e.start, main=e.main, stop=e.stop, q=e.q, coefficient=0.88
-            )
-
-    def test_nan_coefficient_rejected(self):
-        e = lookup("ESSPRK(4,4,2)")
-        with pytest.raises(DomainError, match="certified"):
-            CompositeScheme(
-                start=e.start, main=e.main, stop=e.stop, q=e.q, coefficient=math.nan
-            )
+        scheme = CompositeScheme(start=e.start, main=e.main, stop=e.stop, q=e.q)
+        assert scheme.coefficient == ssp_coefficient(e.main).coefficient
 
     def test_mismatched_companions_rejected(self):
         a = lookup("ESSPRK(4,4,2)")
         b = lookup("ESSPRK(4,4,3)")
-        C = ssp_coefficient(a.main).coefficient
         with pytest.raises(DomainError, match="target"):
-            CompositeScheme(
-                start=a.start, main=a.main, stop=b.stop, q=4, coefficient=C
-            )
+            CompositeScheme(start=a.start, main=a.main, stop=b.stop, q=4)
 
     def test_nan_stop_weight_rejected(self):
         e = lookup("ESSPRK(3,3,2)")
         b = e.stop.b.copy()
         b[-1] = np.nan
         stop = ButcherTableau(A=e.stop.A, b=b)
-        C = ssp_coefficient(e.main).coefficient
         with pytest.raises(DomainError, match="target"):
-            CompositeScheme(start=e.start, main=e.main, stop=stop, q=3, coefficient=C)
+            CompositeScheme(start=e.start, main=e.main, stop=stop, q=3)
 
     def test_unsupported_order_rejected(self, rk4):
         with pytest.raises(DomainError, match="orders 3 and 4"):
-            CompositeScheme(start=rk4, main=rk4, stop=rk4, q=5, coefficient=0.0)
+            CompositeScheme(start=rk4, main=rk4, stop=rk4, q=5)
 
 
 class TestRunComposite:

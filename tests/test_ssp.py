@@ -15,7 +15,7 @@ from essprk.ssp import (
     DEFAULT_BISECTION_TOL,
     DEFAULT_ENTRY_TOL,
     SSPResult,
-    _bisect,
+    _bracket,
     abs_monotonic,
     ssp_coefficient,
 )
@@ -295,8 +295,10 @@ class TestPolynomialScreen:
 class TestBisect:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
     def test_bad_tolerance(self, tol):
+        probe, probes = self._bounded(lambda r: r < 1.0)
         with pytest.raises(DomainError, match="tolerance"):
-            _bisect(lambda r: r < 1.0, 0.0, 2.0, tol)
+            _bracket(probe, 0.0, 2.0, tol)
+        assert probes == []
         with pytest.raises(DomainError, match="tolerance"):
             ssp_coefficient(lookup("SSPRK(3,3)").main, tol=tol)
 
@@ -309,7 +311,8 @@ class TestBisect:
 
     @staticmethod
     def _bounded(feasible):
-        # a bisection that does not end fails here instead of hanging
+        # records its probes; a bisection that does not end fails here
+        # instead of hanging
         probes = []
 
         def probe(r):
@@ -317,16 +320,28 @@ class TestBisect:
             assert len(probes) <= 2000, "bisection did not end"
             return feasible(r)
 
-        return probe
+        return probe, probes
 
     def test_zero_tolerance_ends_at_adjacent_floats(self):
-        lo, hi = _bisect(self._bounded(lambda r: r < 1.0), 0.0, 2.0, 0.0)
+        probe, _ = self._bounded(lambda r: r < 1.0)
+        lo, hi = _bracket(probe, 0.0, 2.0, 0.0)
         assert hi == 1.0
         assert lo == np.nextafter(1.0, 0.0)
 
     def test_zero_tolerance_ends_below_the_smallest_float(self):
-        lo, hi = _bisect(self._bounded(lambda r: r <= 0.0), 0.0, 2.0, 0.0)
+        probe, _ = self._bounded(lambda r: r <= 0.0)
+        lo, hi = _bracket(probe, 0.0, 2.0, 0.0)
         assert (lo, hi) == (0.0, 5e-324)
+
+    def test_failing_lower_end_probes_only_it(self):
+        probe, probes = self._bounded(lambda r: False)
+        assert _bracket(probe, 0.5, 2.0, 1e-3) is None
+        assert probes == [0.5]
+
+    def test_holding_upper_end_probes_both_ends(self):
+        probe, probes = self._bounded(lambda r: True)
+        assert _bracket(probe, 0.5, 2.0, 1e-3) == (2.0, 2.0)
+        assert probes == [0.5, 2.0]
 
     def test_zero_tolerance_coefficient_returns(self):
         script = (

@@ -18,7 +18,6 @@ from essprk.tableau import (
     parse_shu_osher,
     parse_tableau,
     shu_osher_to_butcher,
-    stacked_coefficients,
     validate,
 )
 
@@ -137,12 +136,6 @@ class TestButcherTableau:
         assert validate(t) == []
         warned = validate(t, include_warnings=True)
         assert any(p.startswith("warning:") for p in warned)
-
-    def test_stacked_coefficients(self, ssprk33):
-        K = stacked_coefficients(ssprk33)
-        assert K.shape == (4, 3)
-        assert np.array_equal(K[:3], ssprk33.A)
-        assert np.array_equal(K[3], ssprk33.b)
 
 
 class TestShuOsher:
