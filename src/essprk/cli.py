@@ -258,7 +258,9 @@ def _cmd_burgers(args) -> int:
 
 def _cmd_sigma_table(args) -> int:
     grid = BurgersGrid(initial_profile="square_wave")
-    print("q,p,s,sigma_max,percent_over_C")
+    # printed only once every bisection has succeeded, so a failed run
+    # leaves no partial table on stdout
+    lines = ["q,p,s,sigma_max,percent_over_C"]
     for entry in catalog():
         if entry.start is None:
             continue
@@ -266,10 +268,11 @@ def _cmd_sigma_table(args) -> int:
         _log(f"bisecting {entry.label}")
         sigma = max_tvd_sigma(scheme, grid, args.tf, tol=args.tol)
         over = 100.0 * (sigma - scheme.coefficient) / scheme.coefficient
-        print(
+        lines.append(
             f"{entry.q},{entry.p},{entry.main.b.size},"
             f"{float(sigma)!r},{float(over)!r}"
         )
+    print("\n".join(lines))
     return 0
 
 

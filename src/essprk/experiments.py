@@ -6,11 +6,14 @@ total-variation diminishing there up to a known step size, which makes the
 largest oscillation-free step ratio of a composite scheme a measurable
 quantity.  Every run reads the total variation after each step from one
 generator; the bisection for that ratio stops each probe at the first
-increase, which already settles its verdict.  The van der Pol oscillator
-supplies the smooth convergence study.  Its reference solution steps the
-frozen eighth-order DOP853 tableau of Dormand and Prince
-(``data/dop853.json``) with step halving until two resolutions agree to
-1e-11.
+increase, which already settles its verdict.  Burgers runs step with
+numpy's ``rk_step``.  The van der Pol oscillator supplies the smooth
+convergence study.  Its studies step a 2-vector whose slope costs far
+less than ``rk_step``'s numpy overhead, so each study generates float
+steps for its tableaux (``integrator._float_step``) and steps those.  Its
+reference solution steps the frozen eighth-order DOP853 tableau of
+Dormand and Prince (``data/dop853.json``) with ``rk_step``, with step
+halving until two resolutions agree to 1e-11.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Iterator
 
@@ -29,9 +32,10 @@ from .errors import DomainError, EssprkError, NonFiniteState
 from .integrator import (
     IVP,
     CompositeScheme,
+    _float_step,
     _steps,
     composite_steps,
-    run_composite,
+    rk_step,
     run_single,
 )
 from .order_conditions import (
@@ -228,8 +232,8 @@ def run_tvd_single(
 ) -> TVDReport:
     """Same accounting as run_tvd but stepping one method with no bracket."""
     ivp, n = _burgers_ivp(grid, sigma, tf)
-    steps = _steps(tableau, tableau, tableau, ivp, n)
-    return _tvd_report(steps, sigma, ivp, n)
+    step = partial(rk_step, tableau, ivp.rhs)
+    return _tvd_report(_steps(step, step, step, ivp, n), sigma, ivp, n)
 
 
 def _monotone_at(
@@ -280,10 +284,14 @@ def max_tvd_sigma(
 # ---- van der Pol convergence ----
 
 
+def _vdp_slope(x: float, y: float) -> tuple[float, float]:
+    # no ** here: float ** raises OverflowError where * gives inf
+    return y, VDP_MU * (1.0 - x * x) * y - x
+
+
 def _vdp_rhs(u: np.ndarray) -> np.ndarray:
     # Python floats round as numpy scalars do, at about half the call cost
-    x, y = u.tolist()
-    return np.array([y, VDP_MU * (1.0 - x * x) * y - x])
+    return np.array(_vdp_slope(*u.tolist()))
 
 
 def vdp_ivp() -> IVP:
@@ -303,7 +311,10 @@ def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
 
     Doubles the step count from 2048 until two consecutive resolutions
     agree to ``REFERENCE_ACCURACY`` in the max norm, then returns the finer
-    result (its own error is far below the agreement threshold).
+    result (its own error is far below the agreement threshold).  It steps
+    with numpy's ``rk_step``, not the generated float steps of the van der
+    Pol studies, so the oracle shares no stepping code with what it
+    certifies.
     """
     dop853 = _dop853()
     n = 2048
@@ -341,26 +352,41 @@ def convergence_slope(
     return float(np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)[0])
 
 
-def _vdp_study(final_state):
-    # final_state(ivp, n) is the state at t=50 after n steps of the method
+def _vdp_study(*tableaux):
+    # steps the (start, main, stop) schedule in float steps generated for
+    # this call; they agree with rk_step's to rounding
     ivp = vdp_ivp()
     ref = _vdp_reference()
+    first, main, stop = (
+        _float_step(t, _vdp_slope, ivp.rhs, ivp.u0.size) for t in tableaux
+    )
+
+    def start(u, dt):
+        # step 1 alone starts from an array, the run's u0
+        return first(tuple(u.tolist()), dt)
+
     ns = np.array(VDP_STEP_COUNTS)
     errors = np.empty(ns.size)
     for i, n in enumerate(ns):
-        errors[i] = float(np.max(np.abs(final_state(ivp, int(n)) - ref)))
+        for _, _, final in _steps(start, main, stop, ivp, int(n)):
+            pass
+        errors[i] = float(np.max(np.abs(np.array(final) - ref)))
     slope = convergence_slope(VDP_FINAL_TIME / ns, errors)
     return ns, errors, slope
 
 
 def vdp_convergence(scheme: CompositeScheme):
-    """(step counts, max-norm errors at t=50, fitted slope) for a composite."""
-    return _vdp_study(lambda ivp, n: run_composite(scheme, ivp, n).final)
+    """(step counts, max-norm errors at t=50, fitted slope) for a composite.
+
+    Each run is the raw composite sequence, whose final state is the one
+    :func:`run_composite` records.
+    """
+    return _vdp_study(scheme.start, scheme.main, scheme.stop)
 
 
 def vdp_single_convergence(tableau: ButcherTableau):
     """Same study but stepping one tableau alone (no start/stop bracket)."""
-    return _vdp_study(lambda ivp, n: run_single(tableau, ivp, n).final)
+    return _vdp_study(tableau, tableau, tableau)
 
 
 # ---- direct perturbation methods (negative weights, for the TVD contrast) ----

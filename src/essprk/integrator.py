@@ -5,11 +5,21 @@ starting step and one stopping step; only the bracketed sequence carries
 the main method's effective order, so states observed mid-run must be
 produced by applying the stopping method to a copy of the running state.
 Everything here is deterministic: no adaptivity, no internal randomness.
+
+One loop, ``_steps``, schedules every run; its caller, which owns the
+right-hand side, picks the step function.  The public runs and the
+Burgers experiments step with numpy's :func:`rk_step`.  The van der Pol
+studies step a small system whose slope is cheap, where ``rk_step``'s
+numpy overhead would dominate, so they use ``_float_step``: straight-line
+Python over floats, generated once per tableau, that hands any
+non-finite result back to ``rk_step`` for the diagnosis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -177,12 +187,60 @@ def shu_osher_step(
     return out
 
 
-def _tagged_step(tableau, rhs, u, dt, step):
+def _float_step(tableau: ButcherTableau, slope, rhs: RightHandSide, dim: int):
+    """``rk_step(tableau, rhs, u, dt)`` as straight-line Python over floats.
+
+    Returns ``step(u, dt)`` for a state ``u`` that is a tuple of ``dim``
+    floats; ``slope(*stage)`` must return the tuple ``rhs`` returns as an
+    array.  Stage i is ``u_c + dt * (a_i0*k0_c + a_i1*k1_c + ...)`` and
+    the update ``u_c + dt * (b_0*k0_c + b_1*k1_c + ...)``, each sum taken
+    left to right over the whole row, zero entries included, so a
+    non-finite slope at any stage reaches the update.  This order is fixed
+    by the source, not by a BLAS kernel, so it can differ from
+    ``rk_step``'s in the last bits.  A non-finite update re-runs the step
+    through ``rk_step``, which raises the stage's ``NonFiniteState``.
+
+    The source embeds the ``repr`` of each coefficient, which round-trips
+    a finite float exactly, and no other text from the input.
+    """
+    if not (np.isfinite(tableau.A).all() and np.isfinite(tableau.b).all()):
+        raise DomainError("tableau has a non-finite coefficient")
+    A, b, s = tableau.A.tolist(), tableau.b.tolist(), tableau.s
+    comps = range(dim)
+
+    def row(coefs, c):
+        return " + ".join(f"({a!r})*k{j}_{c}" for j, a in enumerate(coefs))
+
+    def names(prefix):
+        return "".join(f"{prefix}{c}, " for c in comps)
+
+    lines = ["def step(u, dt):", f"    {names('u')}= u"]
+    for i in range(s):
+        stage = names("u") if i == 0 else "".join(
+            f"u{c} + dt * ({row(A[i][:i], c)}), " for c in comps
+        )
+        lines.append(f"    {names(f'k{i}_')}= f({stage})")
+    lines += [f"    v{c} = u{c} + dt * ({row(b, c)})" for c in comps]
+    lines += [
+        f"    if {' and '.join(f'isfinite(v{c})' for c in comps)}:",
+        f"        return ({names('v')})",
+        "    return fallback(u, dt)",
+    ]
+
+    def fallback(u, dt):
+        return tuple(rk_step(tableau, rhs, np.array(u), dt).tolist())
+
+    namespace = {"f": slope, "isfinite": math.isfinite, "fallback": fallback}
+    exec(compile("\n".join(lines), "<essprk step>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _tagged(step, u, dt, k):
     try:
-        return rk_step(tableau, rhs, u, dt)
+        return step(u, dt)
     except NonFiniteState as exc:
         raise NonFiniteState(
-            f"step {step}: {exc}", stage=exc.stage, step=step
+            f"step {k}: {exc}", stage=exc.stage, step=k
         ) from None
 
 
@@ -211,15 +269,18 @@ def _normalize_observe(observe_at, n: int, composite: bool):
 def _steps(start, main, stop, ivp: IVP, n: int):
     """Yield (step, time, state) from u0 through n uniform steps.
 
-    Step 1 takes ``start``, step n takes ``stop`` and every other step
-    ``main``; a single method is the schedule with itself in all three.
+    ``start``, ``main`` and ``stop`` are step functions ``(u, dt) -> u``,
+    chosen once per run by the caller that owns the rhs.  Step 1 takes
+    ``start``, step n takes ``stop`` and every other step ``main``; a
+    single method is the schedule with itself in all three.  A
+    ``NonFiniteState`` leaves tagged with its step number.
     """
     dt = (ivp.tf - ivp.t0) / n
     u = ivp.u0
     yield 0, ivp.t0, u
     for k in range(1, n + 1):
-        tab = start if k == 1 else stop if k == n else main
-        u = _tagged_step(tab, ivp.rhs, u, dt, k)
+        step = start if k == 1 else stop if k == n else main
+        u = _tagged(step, u, dt, k)
         yield k, ivp.t0 + k * dt, u
 
 
@@ -237,9 +298,8 @@ def run_single(
     if n < 1:
         raise DomainError(f"need at least one step, got {n}")
     obs = _normalize_observe(observe_at, n, composite=False)
-    return _pack(
-        [r for r in _steps(tableau, tableau, tableau, ivp, n) if r[0] in obs]
-    )
+    step = partial(rk_step, tableau, ivp.rhs)
+    return _pack([r for r in _steps(step, step, step, ivp, n) if r[0] in obs])
 
 
 def composite_steps(
@@ -253,7 +313,8 @@ def composite_steps(
     """
     if n < 3:
         raise DomainError("composite scheme requires at least 3 steps")
-    yield from _steps(scheme.start, scheme.main, scheme.stop, ivp, n)
+    tableaux = (scheme.start, scheme.main, scheme.stop)
+    yield from _steps(*(partial(rk_step, t, ivp.rhs) for t in tableaux), ivp, n)
 
 
 def run_composite(
@@ -273,6 +334,7 @@ def run_composite(
         raise DomainError("composite scheme requires at least 3 steps")
     obs = _normalize_observe(observe_at, n, composite=True)
     dt = (ivp.tf - ivp.t0) / n
+    stop = partial(rk_step, scheme.stop, ivp.rhs)
     records = []
     prev = None
     for k, t, u in composite_steps(scheme, ivp, n):
@@ -283,9 +345,7 @@ def run_composite(
             if k <= n - 1:
                 # one stopping step from the previous raw state lands on
                 # the accurate solution at this time
-                records.append(
-                    (k, t, _tagged_step(scheme.stop, ivp.rhs, prev, dt, k))
-                )
+                records.append((k, t, _tagged(stop, prev, dt, k)))
             else:
                 records.append((k, t, u))
         prev = u

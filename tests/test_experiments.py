@@ -1,5 +1,7 @@
 """Burgers total-variation experiments and van der Pol convergence."""
 
+import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from essprk import experiments
+from essprk import experiments, integrator
 from essprk.errors import DomainError, EssprkError, NonFiniteState
 from essprk.experiments import (
     BurgersGrid,
@@ -21,8 +23,9 @@ from essprk.experiments import (
     run_tvd_single,
     total_variation,
     vdp_convergence,
+    vdp_single_convergence,
 )
-from essprk.integrator import IVP, composite_from_entry, rk_step
+from essprk.integrator import IVP, composite_from_entry, rk_step, run_single
 from essprk.methods import lookup
 from essprk.order_conditions import classical_order
 from essprk.tableau import emit_tableau, parse_tableau
@@ -442,9 +445,119 @@ def test_vdp_rhs_matches_numpy_scalar_formula_bit_for_bit():
     # magnitudes from 1e-3 to 1e3 exercise the rounding of every term
     states = rng.normal(size=(1000, 2)) * 10.0 ** rng.uniform(-3, 3, (1000, 2))
     for u in states:
+        expected = reference_vdp_rhs(u).tobytes()
         out = experiments._vdp_rhs(u)
         assert out.dtype == np.float64 and out.shape == (2,)
-        assert out.tobytes() == reference_vdp_rhs(u).tobytes()
+        assert out.tobytes() == expected
+        slope = experiments._vdp_slope(*u.tolist())
+        assert type(slope) is tuple and all(type(x) is float for x in slope)
+        assert np.array(slope).tobytes() == expected
+
+
+def test_vdp_slope_overflows_to_inf_without_raising():
+    # float ** raises OverflowError here; the studies need inf, which the
+    # step then diagnoses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert experiments._vdp_slope(1e200, 1.0) == (1.0, -np.inf)
+
+
+class TestVdpStudyFailure:
+    """A blow-up inside a study fails as the rk_step path failed."""
+
+    vdp_slope = staticmethod(experiments._vdp_slope)
+
+    def inject(self, monkeypatch, bad, s, stage):
+        # every slope call counts, whichever path makes it; from step 2 on,
+        # the call for ``stage`` of each s-stage step returns ``bad``
+        calls = []
+
+        def slope(x, y):
+            calls.append(0)
+            out = self.vdp_slope(x, y)
+            n = len(calls)
+            return (bad, out[1]) if n > s and (n - 1) % s == stage else out
+
+        monkeypatch.setattr(experiments, "_vdp_slope", slope)
+        monkeypatch.setattr(
+            experiments, "_vdp_rhs", lambda u: np.array(slope(*u.tolist()))
+        )
+        return calls
+
+    @pytest.mark.parametrize("label", ["ESSPRK(4,4,2)", "DOP853"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_slope_at_each_stage(self, monkeypatch, label, bad):
+        tableau = experiments._dop853() if label == "DOP853" else lookup(label).main
+        experiments._vdp_reference()  # warm: the reference must not see bad
+        n = experiments.VDP_STEP_COUNTS[0]
+        for stage in range(tableau.s):
+            calls = self.inject(monkeypatch, bad, tableau.s, stage)
+            # the same schedule through rk_step, with the same bad slope
+            with pytest.raises(NonFiniteState) as numpy_path:
+                run_single(tableau, experiments.vdp_ivp(), n)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteState) as float_path:
+                    vdp_single_convergence(tableau)
+            assert str(float_path.value) == str(numpy_path.value)
+            assert float_path.value.stage == numpy_path.value.stage == stage
+            assert float_path.value.step == numpy_path.value.step == 2
+
+
+class TestVdpRouting:
+    """The studies step generated float steps; only the reference, which
+    certifies them, steps rk_step, so tracing rk_step counts its steps."""
+
+    @staticmethod
+    def count_rk_steps(monkeypatch):
+        # rebind rk_step wherever essprk binds it, as the benchmark tracer does
+        calls = []
+        original = integrator.rk_step
+
+        def counted(*args, **kwargs):
+            calls.append(0)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("essprk") and module is not None:
+                if getattr(module, "rk_step", None) is original:
+                    monkeypatch.setattr(module, "rk_step", counted)
+        return calls
+
+    def test_warm_studies_make_no_rk_step_calls(self, monkeypatch, scheme_432):
+        experiments._vdp_reference()
+        calls = self.count_rk_steps(monkeypatch)
+        vdp_convergence(scheme_432)
+        vdp_single_convergence(scheme_432.main)
+        assert calls == []
+
+    def test_cold_reference_steps_rk_step(self, monkeypatch):
+        calls = self.count_rk_steps(monkeypatch)
+        experiments._vdp_reference.__wrapped__()
+        assert len(calls) == 6144
+
+    def test_import_generates_no_step(self):
+        script = (
+            "import builtins\n"
+            "seen = []\n"
+            "real = builtins.compile\n"
+            "def compile(source, filename, *args, **kwargs):\n"
+            "    seen.append(filename)\n"
+            "    return real(source, filename, *args, **kwargs)\n"
+            "builtins.compile = compile\n"
+            "import essprk, essprk.cli\n"
+            "print(seen.count('<essprk step>'))\n"
+            "from essprk import experiments, integrator\n"
+            "ivp = experiments.vdp_ivp()\n"
+            "main = essprk.lookup('ESSPRK(4,4,2)').main\n"
+            "integrator._float_step(main, experiments._vdp_slope, ivp.rhs, 2)\n"
+            "print(seen.count('<essprk step>'))\n"
+        )
+        proc = run_python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # the second count shows the hook sees a generated step
+        assert proc.stdout.split() == ["0", "1"]
 
 
 class TestVdpConvergence:
