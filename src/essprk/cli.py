@@ -42,6 +42,7 @@ from .order_conditions import (
 from .ssp import ssp_coefficient
 from .tableau import (
     emit_tableau,
+    load_document,
     parse_shu_osher,
     parse_tableau,
     shu_osher_to_butcher,
@@ -73,22 +74,14 @@ def _resolve(target: str):
     path = Path(target)
     if not path.is_file():
         raise DomainError(f"no catalog method or readable file named {target!r}")
-    data = path.read_bytes()
+    doc = load_document(path.read_bytes())
     try:
-        return parse_tableau(data), None
+        return parse_tableau(doc), None
     except TableauParseError:
         # a document with an alpha key declares the Shu-Osher form
-        if not _has_alpha(data):
+        if not (isinstance(doc, dict) and "alpha" in doc):
             raise
-    return shu_osher_to_butcher(parse_shu_osher(data), label=path.stem), None
-
-
-def _has_alpha(data: bytes) -> bool:
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError):
-        return False
-    return isinstance(doc, dict) and "alpha" in doc
+    return shu_osher_to_butcher(parse_shu_osher(doc), label=path.stem), None
 
 
 def _composite_or_single(args):

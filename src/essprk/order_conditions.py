@@ -210,14 +210,20 @@ _STAGES = [None, None] + [_halves(children) for children in _CHILDREN[2:]]
 
 
 def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
-    """All 18 elementary weights of a tableau, as a read-only vector."""
+    """All 18 elementary weights of a tableau, as a read-only vector.
+
+    Every sum is numpy's ``sum`` over a row of elementwise products: A times
+    a stage vector is ``(A * g).sum(axis=1)`` and the weights are
+    ``(G * b).sum(axis=1)`` over the stacked stage vectors G, so the
+    summation order is fixed by numpy, not by the BLAS kernel.
+    """
     A, b = tableau.A, tableau.b
     # stage vectors by tree; A times the all-ones vector is the stored c
     g = [None, None, tableau.c]
     for left, right in _STAGES[3:]:
-        g.append(A @ g[left] if right is None else g[left] * g[right])
-    # sum(b) rather than b @ 1, whose rounding differs
-    return _frozen([1.0, b.sum()] + [b @ u for u in g[2:]])
+        g.append((A * g[left]).sum(axis=1) if right is None else g[left] * g[right])
+    G = np.array(g[2:])
+    return _frozen(np.concatenate(([1.0, b.sum()], (G * b).sum(axis=1))))
 
 
 def _pack_dim(s: int) -> int:

@@ -11,10 +11,12 @@ The feasible radii form one interval [0, R] (Kraaijevanger, "Contractivity
 of Runge-Kutta methods", BIT 1991), so bisection finds R.  Because A is
 nilpotent, (I + rA)^(-1) = sum_k (-rA)^k and the transformed coefficients
 are polynomials in r of degree at most s.  The bisection probes them with
-one product against the powers of r, with no triangular solve; the exact
-solve-based test certifies both ends of the final bracket.  A probe whose
-verdict differs from the exact one, as on non-finite values it may, leaves
-an end that fails that check, and the bisection reruns with exact probes.
+one product against the powers of r, with no substitution; the exact test,
+a back substitution whose sums numpy orders, so that its bits do not depend
+on the BLAS kernel, certifies both ends of the final bracket.  A probe
+whose verdict differs from the exact one, as on non-finite values it may,
+leaves an end that fails that check, and the bisection reruns with exact
+probes.
 """
 
 from __future__ import annotations
@@ -86,19 +88,19 @@ class SSPResult:
 
 
 def _transformed(A: np.ndarray, b: np.ndarray, r: float):
-    """Raw transform: X with X(I + rA) = [A; b], and the leftover column."""
-    s = b.size
-    K = np.vstack([A, b])
-    # X solves X M = K, that is M^T X^T = K^T.  M^T is upper triangular
-    # with a diagonal of ones, so its LU factorisation exchanges no rows
-    # and meets no zero pivot: the solve is the back substitution LAPACK's
-    # triangular solver runs, bit for bit.  Overflow and NaN pass through,
-    # silently, to the finiteness check of abs_monotonic.  X is kept
-    # C-ordered, the layout that solver returned: the row sums below and
-    # the argmin in abs_monotonic read it in memory order.
+    """Raw transform: X with X(I + rA) = [A; b], and the leftover column.
+
+    I + rA is unit lower triangular, so X comes by back substitution over
+    the columns, last first: X[:, j] = [A; b][:, j] - sum over k > j of
+    X[:, k] (rA)[k, j], each sum numpy's ``sum`` along a row.  rA is formed
+    first, so X(0) is [A; b] exactly.  Overflow and NaN pass through,
+    silently, to the finiteness check of abs_monotonic.
+    """
+    X = np.vstack([A, b])
     with np.errstate(over="ignore", invalid="ignore"):
-        M = np.eye(s) + r * A
-        X = np.ascontiguousarray(np.linalg.solve(M.T, K.T).T)
+        rA = r * A
+        for j in range(b.size - 2, -1, -1):
+            X[:, j] -= (X[:, j + 1:] * rA[j + 1:, j]).sum(axis=1)
         rem = 1.0 - r * X.sum(axis=1)
     return X, rem
 
@@ -176,9 +178,12 @@ def _polynomial_screen(A: np.ndarray, b: np.ndarray) -> Callable[[float], bool]:
 
     X(r) = [A; b] sum_k (-r)^k A^k has degree below s and the leftover
     column 1 + sum_k (-r)^(k+1) [A; b] A^k 1 degree s; one row of ``coef``
-    holds the coefficients of one power of -r.  A probe that meets a NaN
-    reads infeasible; non-finite values may give a verdict other than the
-    exact test's, which the end check of :func:`ssp_coefficient` catches.
+    holds the coefficients of one power of -r.  Each power [A; b] A^(k+1)
+    sums its products over the inner index in order, so the coefficients do
+    not depend on the BLAS kernel; the probe's own product does.  Probes
+    run under the caller's ``np.errstate``.  A probe that meets a NaN reads
+    infeasible; non-finite values may give a verdict other than the exact
+    test's, which the end check of :func:`ssp_coefficient` catches.
     """
     s = b.size
     width = (s + 1) * s
@@ -190,12 +195,11 @@ def _polynomial_screen(A: np.ndarray, b: np.ndarray) -> Callable[[float], bool]:
         for k in range(s):
             coef[k, :width] = term.ravel()
             coef[k + 1, width:] = term.sum(axis=1)
-            term = term @ A
+            term = (term[:, :, None] * A).sum(axis=1)
     exponents = np.arange(s + 1)
 
     def feasible(r: float) -> bool:
-        with np.errstate(all="ignore"):
-            worst = ((-r) ** exponents @ coef).min()
+        worst = ((-r) ** exponents @ coef).min()
         return bool(worst >= -DEFAULT_ENTRY_TOL)
 
     return feasible
@@ -227,7 +231,9 @@ def ssp_coefficient(
         return abs_monotonic(tableau, r).feasible
 
     screen = _polynomial_screen(tableau.A, tableau.b)
-    lo, hi = _bracket(screen, 0.0, r_max, tol) or (0.0, 0.0)
+    # the screen's probes overflow silently; the end check settles them
+    with np.errstate(all="ignore"):
+        lo, hi = _bracket(screen, 0.0, r_max, tol) or (0.0, 0.0)
     certificate = abs_monotonic(tableau, lo)
     if lo < hi:
         confirmed = certificate.feasible and not exact(hi)

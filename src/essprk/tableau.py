@@ -142,36 +142,18 @@ def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
                          q: int | None = None, p: int | None = None) -> ButcherTableau:
     """Convert a modified Shu-Osher form to the equivalent Butcher tableau.
 
-    Unrolling the stage recursion gives A = (I - alpha_top)^-1 beta_top and
-    b = beta_last + alpha_last A, where "top" is the first s rows and
-    "last" the update row.
+    Unrolling the stage recursion gives the rows of [A; b] in one forward
+    recursion over the s+1 rows: row i is beta_i + sum_j alpha_ij row_j,
+    the sum taken over j < i in order, so b is its last row.  Products of
+    alpha past the float range leave a non-finite tableau, which is refused.
     """
-    s = form.s
-    al, be = form.alpha, form.beta
-    # A solves (I - alpha_top) A = beta_top, a unit lower triangular system.
-    # Row i is scaled by 2^e_i, chosen so that each diagonal entry stays the
-    # largest in its column (2^e_k > 2^e_i |alpha_ik| for k < i): LU then
-    # exchanges no rows, and as scaling by a power of two is exact while
-    # values stay normal, A is what LAPACK's triangular solver gives, bit
-    # for bit.  A scale that underflows to zero (|alpha| products past
-    # 2^1074 along a chain of stages) is refused.  A non-finite beta or an
-    # overflow (finite entries near 1e308) ends in the check below.
-    bits = np.maximum(np.frexp(al[:s])[1], 0).tolist()  # |alpha| < 2^bits
-    e = [0]
-    for row in bits[1:]:
-        e.append(min(ek - bk for ek, bk in zip(e, row)))
-    scale = np.ldexp(1.0, e)[:, None]
-    try:
-        A = np.linalg.solve(scale * (np.eye(s) - al[:s]), scale * be[:s])
-    except np.linalg.LinAlgError:
-        # the zero pivot of a row whose scale underflowed
-        raise DomainError("Shu-Osher form has products of alpha along a "
-                          "chain of stages beyond the float range") from None
+    al, K = form.alpha, np.array(form.beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = be[s] + al[s] @ A
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        for i in range(1, form.s + 1):
+            K[i] += (al[i, :i, None] * K[:i]).sum(axis=0)
+    if not np.isfinite(K).all():
         raise DomainError("Shu-Osher form converts to a non-finite tableau")
-    return ButcherTableau(A=A, b=b, label=label, q=q, p=p)
+    return ButcherTableau(A=K[:-1], b=K[-1], label=label, q=q, p=p)
 
 
 def _is_int(value) -> bool:
@@ -179,7 +161,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _load_document(text: bytes | str):
+def load_document(text):
+    """The JSON value ``text`` decodes to; a value that is not text is
+    taken as decoded already, so a document is decoded once."""
+    if not isinstance(text, (bytes, bytearray, str)):
+        return text
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -223,14 +209,14 @@ def _numeric_field(obj, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def parse_tableau(text: bytes | str) -> ButcherTableau:
-    """Read a tableau JSON document.
+def parse_tableau(text) -> ButcherTableau:
+    """Read a tableau JSON document, as text or as the value it decodes to.
 
     Expected shape: {"label": str, "s": int, "A": [[...]], "b": [...],
     "q": int|null, "p": int|null}.  Rejects non-explicit A and non-finite
     or non-numeric entries; any malformed input raises TableauParseError.
     """
-    doc = _load_document(text)
+    doc = load_document(text)
     s = _stage_count(doc)
     if "A" not in doc:
         raise TableauParseError("field 'A' missing")
@@ -275,13 +261,14 @@ def emit_tableau(tableau: ButcherTableau) -> bytes:
     return text.encode("utf-8")
 
 
-def parse_shu_osher(text: bytes | str) -> ShuOsherForm:
-    """Read a Shu-Osher JSON document {"s", "v", "alpha", "beta"}.
+def parse_shu_osher(text) -> ShuOsherForm:
+    """Read a Shu-Osher JSON document {"s", "v", "alpha", "beta"}, as text
+    or as the value it decodes to.
 
     Any malformed input, including a form that is not explicit or whose
     rows do not satisfy v + sum(alpha) = 1, raises TableauParseError.
     """
-    doc = _load_document(text)
+    doc = load_document(text)
     s = _stage_count(doc)
     v = _numeric_field(doc.get("v"), "v", (s + 1,))
     alpha = _numeric_field(doc.get("alpha"), "alpha", (s + 1, s))

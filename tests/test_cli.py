@@ -22,7 +22,13 @@ from essprk.tableau import (
     parse_shu_osher,
 )
 
-from conftest import MALFORMED_DOCUMENTS, _shu_osher_doc, run_module, run_python
+from conftest import (
+    MALFORMED_DOCUMENTS,
+    _shu_osher_doc,
+    _tableau_doc,
+    run_module,
+    run_python,
+)
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +206,33 @@ class TestMalformedFiles:
                 path.write_text(text)
                 _, _, err = run_cli(capsys, "check", str(path))
                 assert err == f"error: {info.value}\n"
+
+
+    def test_each_file_is_decoded_once(self, capsys, tmp_path, monkeypatch):
+        documents = {
+            "tableau": (_tableau_doc(label="heun"), 0),
+            "shu_osher": (emit_shu_osher(family_n2p1(3)).decode(), 0),
+            "bad_shu_osher": (_shu_osher_doc(v=[1.0, "x", 0.0]), 1),
+            "not_json": ("{", 1),
+            # a valid tableau stays one, whatever other keys it has
+            "tableau_with_alpha": (_tableau_doc(label="heun", alpha=[]), 0),
+        }
+        decoded = []
+        loads = json.loads
+
+        def counted(*args, **kwargs):
+            decoded.append(args[0])
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        for name, (text, exit_code) in documents.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            decoded.clear()
+            code, out, _ = run_cli(capsys, "check", str(path))
+            assert (code, len(decoded)) == (exit_code, 1), name
+            if name.startswith("tableau"):
+                assert loads(out)["label"] == "heun"
 
 
 class TestSsp:

@@ -7,20 +7,30 @@ float included, fails here.  To capture it again after an intended change
 of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.json
+
+The capture also prints the same bytes under every OpenBLAS kernel, since
+no printed number goes through a BLAS or LAPACK call, and its SSP
+bisections run their exact tests at the same radii.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from essprk.cli import main
 from essprk.methods import catalog
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+# OpenBLAS kernels from SSE3 to AVX-512; a DYNAMIC_ARCH build runs the one
+# OPENBLAS_CORETYPE names
+KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
 
 
 def commands():
@@ -49,6 +59,38 @@ def test_every_catalog_label_is_captured():
 def test_stdout_is_byte_identical(argv):
     golden = json.loads(GOLDEN.read_text())
     assert stdout_of(argv) == golden[" ".join(argv)]
+
+
+def _runs_every_kernel():
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    cpu = {*simd.get("baseline", []), *simd.get("found", [])}
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and bool({"X86_V4", "AVX512_SKX"} & cpu))
+
+
+@pytest.mark.skipif(not _runs_every_kernel(),
+                    reason="needs an OpenBLAS DYNAMIC_ARCH build on an AVX-512 CPU")
+def test_one_output_on_every_blas_kernel():
+    from conftest import run_python  # not on the path of a script run
+
+    hashes = {}
+    for kernel in KERNELS:
+        # the radii of the exact tests follow the screen's bisection path
+        proc = run_python(
+            "import os, runpy\n"
+            f"os.environ['OPENBLAS_CORETYPE'] = {kernel!r}\n"
+            "from essprk import ssp\n"
+            "radii, exact = [], ssp.abs_monotonic\n"
+            "ssp.abs_monotonic = lambda t, r: radii.append(r) or exact(t, r)\n"
+            f"runpy.run_path({str(Path(__file__))!r}, run_name='__main__')\n"
+            "print(radii)\n",
+            timeout=120,
+        )
+        assert proc.returncode == 0, (kernel, proc.stderr[-2000:])
+        hashes[kernel] = hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]
+    assert len(set(hashes.values())) == 1, hashes
 
 
 if __name__ == "__main__":

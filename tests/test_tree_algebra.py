@@ -44,19 +44,29 @@ from conftest import make_random_tableau
 EXACT = np.r_[1.0, 1.0 / TREE_DENSITY[1:]]
 
 
+def dot(u, v):
+    """u . v summed as ``elementary_weights`` documents: numpy's sum of the
+    elementwise products of two vectors."""
+    return (u * v).sum()
+
+
 def reference_elementary_weights(tableau):
     A, b, c = tableau.A, tableau.b, tableau.c
+
+    def Am(u):
+        return np.array([dot(row, u) for row in A])
+
     c2 = c * c
     c3 = c2 * c
-    Ac = A @ c
-    AAc = A @ Ac
-    Ac2 = A @ c2
+    Ac = Am(c)
+    AAc = Am(Ac)
+    Ac2 = Am(c2)
     return np.array(
         [
-            1.0, b.sum(), b @ c, b @ c2, b @ Ac, b @ c3, b @ (c * Ac), b @ Ac2,
-            b @ AAc, b @ (c2 * c2), b @ (c2 * Ac), b @ (c * Ac2), b @ (c * AAc),
-            b @ (Ac * Ac), b @ (A @ c3), b @ (A @ (c * Ac)), b @ (A @ Ac2),
-            b @ (A @ AAc),
+            1.0, b.sum(), dot(b, c), dot(b, c2), dot(b, Ac), dot(b, c3),
+            dot(b, c * Ac), dot(b, Ac2), dot(b, AAc), dot(b, c2 * c2),
+            dot(b, c2 * Ac), dot(b, c * Ac2), dot(b, c * AAc), dot(b, Ac * Ac),
+            dot(b, Am(c3)), dot(b, Am(c * Ac)), dot(b, Am(Ac2)), dot(b, Am(AAc)),
         ]
     )
 
