@@ -40,11 +40,8 @@ from .integrator import (
 )
 from .order_conditions import (
     EffectiveOrderSpec,
-    _pack_dim,
-    _packed_weights,
     _starting_series,
     _trees_through,
-    _unpack,
     butcher_inverse,
     classical_order,
     elementary_weights,
@@ -302,8 +299,8 @@ def vdp_ivp() -> IVP:
 def _dop853() -> ButcherTableau:
     # the 12-stage, eighth-order tableau of Dormand and Prince, frozen from
     # scipy's dop853_coefficients (A[:12, :12] and B)
-    data = resources.files("essprk.data").joinpath("dop853.json").read_bytes()
-    return parse_tableau(data)
+    data = resources.files(__package__ + ".data").joinpath("dop853.json")
+    return parse_tableau(data.read_bytes())
 
 
 def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
@@ -404,34 +401,12 @@ def perturbation_pair_tableaux(
     packed coefficients outnumber the trees through order q for the
     orders a composite admits.  Deterministic solve, no seeds.
     """
-    from .optimizer import SearchConfig, _least_squares_fit
+    from .optimizer import _fit_weights
 
     p = int(classical_order(scheme.main))
     w = elementary_weights(scheme.main)
     starting = recover_starting_weights(w, EffectiveOrderSpec(scheme.q, p))
     resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
     alpha = _starting_series(resolved)
-    count = _trees_through(scheme.q)
-    dim = _pack_dim(scheme.q)
-    rows = slice(1, count + 1)
-    weights, jacobian = _packed_weights(scheme.q, rows)
-    rng = np.random.default_rng(1234)
-    # 100 * dim is least_squares' own default evaluation budget
-    config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
-    out = []
-    for target in (alpha, butcher_inverse(alpha)):
-        goal = target[rows]
-        x = _least_squares_fit(
-            lambda x: weights(x) - goal,
-            jacobian,
-            lambda k: rng.uniform(-0.8, 0.8, size=dim),
-            -np.inf,
-            config,
-        )
-        residual = float(np.max(np.abs(weights(x) - goal)))
-        if not residual <= 1e-9:
-            raise EssprkError(
-                f"perturbation method solve stalled at residual {residual:.2e}"
-            )
-        out.append(ButcherTableau(*_unpack(x, scheme.q)))
-    return out[0], out[1]
+    rows = slice(1, _trees_through(scheme.q) + 1)
+    return _fit_weights(scheme.q, rows, [alpha, butcher_inverse(alpha)])

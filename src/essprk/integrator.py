@@ -338,16 +338,11 @@ def run_composite(
     records = []
     prev = None
     for k, t, u in composite_steps(scheme, ivp, n):
-        if k == 0:
-            if 0 in obs:
-                records.append((0, t, u))
-        elif k in obs:
-            if k <= n - 1:
-                # one stopping step from the previous raw state lands on
-                # the accurate solution at this time
-                records.append((k, t, _tagged(stop, prev, dt, k)))
-            else:
-                records.append((k, t, u))
+        if k in obs:
+            # steps 0 and n are recorded raw; at any other step, one
+            # stopping step from the previous raw state lands on the
+            # accurate solution at this time
+            records.append((k, t, u if k in (0, n) else _tagged(stop, prev, dt, k)))
         prev = u
     return _pack(records)
 

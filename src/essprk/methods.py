@@ -154,7 +154,7 @@ def family_n2p1(n: int, branch: str = "plus") -> ShuOsherForm:
 
 
 def _load_tableau(name: str) -> ButcherTableau:
-    text = resources.files("essprk.data").joinpath(name).read_text()
+    text = resources.files(__package__ + ".data").joinpath(name).read_text()
     return parse_tableau(text)
 
 

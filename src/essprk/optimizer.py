@@ -24,21 +24,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 from scipy.optimize import least_squares, minimize
 
-from .errors import DomainError, OrderConditionsInfeasible
+from .errors import DomainError, EssprkError, OrderConditionsInfeasible
 from .order_conditions import (
     EffectiveOrderSpec,
     StartingWeights,
     _companion_conditions,
-    _pack_dim,
-    _packed_weights,
     _residual_jacobian,
-    _tangents,
-    _unpack,
     _weights_jacobian,
     effective_order_residuals,
     elementary_weights,
@@ -126,18 +123,57 @@ class StartStopOutcome:
     worst_residual: float
 
 
+def _pack_dim(s: int) -> int:
+    return s * (s - 1) // 2 + s
+
+
 def _split(x: np.ndarray, stages) -> list:
-    """Unpack consecutive tableaux of the given stage counts."""
-    parts = np.split(x, np.cumsum([_pack_dim(s) for s in stages[:-1]]))
-    return [_unpack(part, s) for part, s in zip(parts, stages)]
+    """(A, b) of each tableau packed in x: the rows of A below the diagonal,
+    then b, one tableau per stage count."""
+    out, k = [], 0
+    for s in stages:
+        A = np.zeros((s, s))
+        for i in range(1, s):
+            A[i, :i] = x[k : k + i]
+            k += i
+        out.append((A, np.array(x[k : k + s])))
+        k += s
+    return out
+
+
+@lru_cache(maxsize=16)
+def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of (A, b) along each packed coordinate, stacked first."""
+    dA, db = map(np.array, zip(*[_split(e, [s])[0] for e in np.eye(_pack_dim(s))]))
+    dA.flags.writeable = db.flags.writeable = False
+    return dA, db
+
+
+def _packed_weights(stages, rows=slice(None)):
+    """Elementary weights on ``rows`` of the tableaux packed in x, stacked,
+    and their block-diagonal Jacobian, as functions of x."""
+
+    def weights(x):
+        return np.concatenate([
+            elementary_weights(ButcherTableau(A=A, b=b))[rows]
+            for A, b in _split(x, stages)
+        ])
+
+    def jacobian(x):
+        return block_diag(*[
+            _weights_jacobian(A, b, *_tangents(b.size))[rows]
+            for A, b in _split(x, stages)
+        ])
+
+    return weights, jacobian
 
 
 def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     x = rng.uniform(0.0, 1.0 / s, size=_pack_dim(s))
-    nA = s * (s - 1) // 2
-    total = x[nA:].sum()
+    b = x[-s:]  # the weights are packed last
+    total = b.sum()
     if total > 0.0:
-        x[nA:] /= total  # weights normalized to sum 1
+        b /= total  # weights normalized to sum 1
     return x
 
 
@@ -188,7 +224,7 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
 
 def _main_constraints(s: int, spec: EffectiveOrderSpec):
     """Order residuals of a packed s-stage tableau and their exact Jacobian."""
-    weights, weights_jacobian = _packed_weights(s)
+    weights, weights_jacobian = _packed_weights([s])
 
     def fun(x):
         return effective_order_residuals(weights(x), spec)
@@ -201,17 +237,14 @@ def _main_constraints(s: int, spec: EffectiveOrderSpec):
 
 def _start_stop_constraints(targets, gaps, stages):
     """The start/stop conditions ``gaps`` over (x_start, x_stop), with Jacobian."""
+    weights, weights_jacobian = _packed_weights(stages)
+    goal = np.concatenate(targets)
 
     def fun(x):
-        start, stop = (
-            elementary_weights(ButcherTableau(A=A, b=b)) - target
-            for (A, b), target in zip(_split(x, stages), targets)
-        )
-        return gaps(start, stop)
+        return gaps(*np.split(weights(x) - goal, 2))
 
     def jac(x):
-        J = block_diag(*[_weights_jacobian(A, b) for A, b in _split(x, stages)])
-        return gaps(*np.split(J, 2))
+        return gaps(*np.split(weights_jacobian(x), 2))
 
     return fun, jac
 
@@ -285,9 +318,10 @@ def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray
     for k in range(config.restarts):
         z0 = np.append(start(k), r_floor)
         z1 = solve(z0, r_floor, r_floor)
-        z2 = solve(z1 if feasible(z1) else z0, 0.0, 2.0 * min(stages))
-        for z in (z1, z2):
-            if feasible(z) and (best is None or z[-1] > best[-1]):
+        ok1 = feasible(z1)
+        z2 = solve(z1 if ok1 else z0, 0.0, 2.0 * min(stages))
+        for z, ok in ((z1, ok1), (z2, feasible(z2))):
+            if ok and (best is None or z[-1] > best[-1]):
                 best = z
     if best is None:
         miss = eq(_least_squares_fit(eq, eq_jac, start, 0.0, config))
@@ -297,6 +331,32 @@ def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray
             best_residuals=miss,
         )
     return best[:-1]
+
+
+def _fit_weights(s: int, rows, targets) -> tuple:
+    """s-stage tableaux whose elementary weights on ``rows`` hit each target.
+
+    Signs are unconstrained.  Each target gets a least-squares fit over up
+    to 40 restarts, drawn in turn from one fixed-seed stream, so the result
+    is deterministic; raises when a fit stalls above 1e-9.
+    """
+    weights, jacobian = _packed_weights([s], rows)
+    dim = _pack_dim(s)
+    rng = np.random.default_rng(1234)
+    # 100 * dim is least_squares' own default evaluation budget
+    config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
+    out = []
+    for target in targets:
+        goal = target[rows]
+        x = _least_squares_fit(
+            lambda x: weights(x) - goal, jacobian,
+            lambda k: rng.uniform(-0.8, 0.8, size=dim), -np.inf, config,
+        )
+        residual = float(np.max(np.abs(weights(x) - goal)))
+        if not residual <= 1e-9:
+            raise EssprkError(f"weight fit stalled at residual {residual:.2e}")
+        out.append(ButcherTableau(*_split(x, [s])[0]))
+    return tuple(out)
 
 
 def optimize_main(
@@ -329,7 +389,7 @@ def optimize_main(
         x = _least_squares_fit(eq, eq_jac, start, -np.inf, config)
     else:
         x = _max_radius_search(eq, eq_jac, [s], start, 0.0, config)
-    A, b = _unpack(x, s)
+    (A, b), = _split(x, [s])
     residuals = eq(x)
     converged = bool(np.max(np.abs(residuals)) <= config.residual_tol)
     labels = {} if spec.q >= 5 else {"q": spec.q, "p": spec.p}

@@ -226,34 +226,13 @@ def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     return _frozen(np.concatenate(([1.0, b.sum()], (G * b).sum(axis=1))))
 
 
-def _pack_dim(s: int) -> int:
-    return s * (s - 1) // 2 + s
-
-
-def _unpack(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) from the rows of A below the diagonal, then b, packed in x."""
-    A = np.zeros((s, s))
-    k = 0
-    for i in range(1, s):
-        A[i, :i] = x[k : k + i]
-        k += i
-    return A, np.array(x[k : k + s])
-
-
-@lru_cache(maxsize=16)
-def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of (A, b) along each packed coordinate, stacked first."""
-    dA, db = zip(*[_unpack(e, s) for e in np.eye(_pack_dim(s))])
-    return _frozen(dA), _frozen(db)
-
-
-def _weights_jacobian(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jacobian of the 18 elementary weights in the packed coordinates.
+def _weights_jacobian(A, b, dA, db) -> np.ndarray:
+    """Jacobian of the 18 elementary weights along the tangent directions
+    (dA[k], db[k]) of (A, b), one column per k.
 
     Forward mode over the stage plan of :func:`elementary_weights`: every
-    stage vector travels with one tangent row per coordinate.
+    stage vector travels with one tangent row per direction.
     """
-    dA, db = _tangents(b.size)
     n, s = db.shape
     g = [None, (np.ones(s), np.zeros((n, s)))]
     for left, right in _STAGES[2:]:
@@ -267,20 +246,6 @@ def _weights_jacobian(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i, (u, du) in enumerate(g[1:], start=1):
         J[i] = db @ u + du @ b
     return J
-
-
-def _packed_weights(s: int, rows=slice(None)):
-    """Elementary weights on ``rows`` of a packed s-stage tableau, and their
-    Jacobian, as functions of the packed vector."""
-
-    def weights(x):
-        A, b = _unpack(x, s)
-        return elementary_weights(ButcherTableau(A=A, b=b))[rows]
-
-    def jacobian(x):
-        return _weights_jacobian(*_unpack(x, s))[rows]
-
-    return weights, jacobian
 
 
 def _cuts(t: int):

@@ -1,0 +1,48 @@
+"""The optimizer alone owns the layout that packs tableaux into a vector.
+
+Read from the source with ``ast``: the packing helpers and the weights
+routine built on them are defined in ``optimizer.py`` and imported by no
+other module of the library, so the tree algebra and the experiments
+never see the layout.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "essprk"
+PACKING = ("_pack_dim", "_split", "_tangents", "_packed_weights")
+
+
+def modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def defined(tree):
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def imported(tree):
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("name", PACKING)
+def test_defined_only_in_the_optimizer(name):
+    assert [m for m, tree in modules().items() if name in defined(tree)] == [
+        "optimizer.py"
+    ]
+
+
+@pytest.mark.parametrize("name", PACKING)
+def test_imported_by_no_module(name):
+    assert [m for m, tree in modules().items() if name in imported(tree)] == []

@@ -1,6 +1,11 @@
 """Closed-form families and the verified method catalog."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +184,22 @@ class TestCatalog:
     def test_stop_method_anchor_abscissa(self):
         entry = lookup("ESSPRK(4,4,3)")
         assert entry.stop.c[1] == float("0.556337718891090")
+
+
+def test_data_files_follow_their_package(tmp_path):
+    # a second copy of the library under another name, with no essprk on
+    # the path, reads the data files inside itself
+    src = Path(__file__).resolve().parents[1] / "src" / "essprk"
+    shutil.copytree(src, tmp_path / "essprk_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = (
+        "import sys\n"
+        "from essprk_copy.experiments import _dop853\n"
+        "from essprk_copy.methods import catalog\n"
+        "assert len(catalog()) > 0 and _dop853().s == 12\n"
+        "assert not any(m.split('.')[0] == 'essprk' for m in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -17,7 +17,11 @@ from essprk.optimizer import (
     _main_constraints,
     _margins,
     _margins_jacobian,
+    _pack_dim,
+    _packed_weights,
+    _split,
     _start_stop_constraints,
+    _tangents,
     optimize_main,
     optimize_start_stop,
 )
@@ -25,8 +29,6 @@ from essprk.order_conditions import (
     EffectiveOrderSpec,
     _companion_conditions,
     _companion_gaps,
-    _pack_dim,
-    _unpack,
     _weights_jacobian,
     effective_order,
     effective_order_residuals,
@@ -143,10 +145,25 @@ class TestExactJacobians:
         x = np.random.default_rng(s).uniform(-0.5, 1.0, _pack_dim(s))
 
         def weights(y):
-            A, b = _unpack(y, s)
+            (A, b), = _split(y, [s])
             return elementary_weights(ButcherTableau(A=A, b=b))
 
-        assert_jacobian(_weights_jacobian(*_unpack(x, s)), weights, x)
+        (A, b), = _split(x, [s])
+        assert_jacobian(_weights_jacobian(A, b, *_tangents(s)), weights, x)
+
+    # two tableaux side by side, and the perturbation pair's shape: one
+    # 4-stage tableau on the trees of orders 1 to 4
+    @pytest.mark.parametrize(
+        "stages,rows", [([5, 4], slice(None)), ([4], slice(1, 9))]
+    )
+    def test_packed_weights(self, stages, rows):
+        weights, jacobian = _packed_weights(stages, rows)
+        x = np.random.default_rng(len(stages)).uniform(
+            -0.5, 1.0, sum(_pack_dim(s) for s in stages)
+        )
+        exact = jacobian(x)
+        assert exact.shape == (weights(x).size, x.size)
+        assert_jacobian(exact, weights, x)
 
     @pytest.mark.parametrize("q,p", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
     def test_order_residuals(self, q, p):

@@ -55,5 +55,5 @@ def test_verdicts_and_searches_call_the_residuals_by_name(monkeypatch):
     assert calls == [order_conditions.EffectiveOrderSpec(5, 2)]
     spec = order_conditions.EffectiveOrderSpec(5, 2)
     fun, _ = optimizer._main_constraints(4, spec)
-    fun(np.full(order_conditions._pack_dim(4), 0.25))
+    fun(np.full(optimizer._pack_dim(4), 0.25))
     assert calls[1:] == [spec]

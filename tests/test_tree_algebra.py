@@ -20,10 +20,7 @@ from essprk.order_conditions import (
     EffectiveOrderSpec,
     StartingWeights,
     _elimination,
-    _pack_dim,
     _residual_jacobian,
-    _tangents,
-    _unpack,
     _weights_jacobian,
     butcher_inverse,
     butcher_product,
@@ -37,6 +34,7 @@ from essprk.order_conditions import (
     resolve_free_weights,
     start_stop_targets,
 )
+from essprk.optimizer import _pack_dim, _split, _tangents
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
 from conftest import make_random_tableau
@@ -351,9 +349,9 @@ class TestTreeTable:
     def test_jacobian_bit_for_bit(self, s):
         rng = np.random.default_rng(s)
         for _ in range(20):
-            A, b = _unpack(rng.normal(size=_pack_dim(s)), s)
+            (A, b), = _split(rng.normal(size=_pack_dim(s)), [s])
             assert np.array_equal(
-                _weights_jacobian(A, b), reference_weights_jacobian(A, b)
+                _weights_jacobian(A, b, *_tangents(s)), reference_weights_jacobian(A, b)
             )
 
     @pytest.mark.parametrize("s", [2, 4, 6])
@@ -361,7 +359,7 @@ class TestTreeTable:
         x = np.random.default_rng(s).normal(size=_pack_dim(s))
 
         def weights(y):
-            A, b = _unpack(y, s)
+            (A, b), = _split(y, [s])
             return elementary_weights(ButcherTableau(A=A, b=b))
 
         h = 1e-6
@@ -370,7 +368,8 @@ class TestTreeTable:
              for e in np.eye(x.size)],
             axis=1,
         )
-        np.testing.assert_allclose(_weights_jacobian(*_unpack(x, s)), fd,
+        (A, b), = _split(x, [s])
+        np.testing.assert_allclose(_weights_jacobian(A, b, *_tangents(s)), fd,
                                    rtol=1e-6, atol=1e-6)
 
 
