@@ -33,7 +33,6 @@ from .integrator import (
     run_composite,
     run_single,
     shu_osher_step,
-    trajectory_csv,
 )
 from .methods import (
     CatalogEntry,
@@ -58,7 +57,6 @@ from .order_conditions import (
     order5_barrier_witness,
     recover_starting_weights,
     resolve_free_weights,
-    start_stop_targets,
 )
 from .ssp import MonotonicityReport, SSPResult, abs_monotonic, ssp_coefficient
 from .tableau import (
@@ -69,7 +67,6 @@ from .tableau import (
     parse_shu_osher,
     parse_tableau,
     shu_osher_to_butcher,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -143,8 +140,5 @@ __all__ = [
     "ssp_coefficient",
     "ssprk_33",
     "ssprk_43",
-    "start_stop_targets",
-    "trajectory_csv",
-    "validate",
     "__version__",
 ]

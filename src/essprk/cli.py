@@ -30,7 +30,6 @@ from .experiments import (
     vdp_convergence,
     vdp_single_convergence,
 )
-from .integrator import composite_from_entry
 from .methods import catalog, lookup
 from .order_conditions import (
     EffectiveOrderSpec,
@@ -89,11 +88,11 @@ def _composite_or_single(args):
     tableau, entry = _resolve(args.scheme)
     if args.main_only:
         return tableau, None
-    if entry is None or entry.start is None:
+    if entry is None or entry.scheme is None:
         if entry is not None:
             _log(f"{entry.label} has no start/stop companions; running it alone")
         return tableau, None
-    return tableau, composite_from_entry(entry)
+    return tableau, entry.scheme
 
 
 def _cmd_check(args) -> int:
@@ -255,9 +254,9 @@ def _cmd_sigma_table(args) -> int:
     # leaves no partial table on stdout
     lines = ["q,p,s,sigma_max,percent_over_C"]
     for entry in catalog():
-        if entry.start is None:
+        scheme = entry.scheme
+        if scheme is None:
             continue
-        scheme = composite_from_entry(entry)
         _log(f"bisecting {entry.label}")
         sigma = max_tvd_sigma(scheme, grid, args.tf, tol=args.tol)
         over = 100.0 * (sigma - scheme.coefficient) / scheme.coefficient

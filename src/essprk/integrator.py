@@ -39,7 +39,6 @@ __all__ = [
     "run_composite",
     "composite_steps",
     "composite_from_entry",
-    "trajectory_csv",
 ]
 
 RightHandSide = Callable[[np.ndarray], np.ndarray]
@@ -74,6 +73,8 @@ class CompositeScheme:
     actually carry effective order q and the companions must hit their
     target weights to 1e-10.  ``coefficient`` is not passed in; it is the
     main method's certified SSP coefficient, computed once the check holds.
+    This is the only place a triple is verified: the catalog builds one
+    scheme per companion entry at load, and runs reuse it.
     """
 
     start: ButcherTableau
@@ -89,14 +90,10 @@ class CompositeScheme:
 
 
 def composite_from_entry(entry) -> CompositeScheme:
-    """Build the verified composite scheme of a catalog entry."""
-    if entry.start is None or entry.stop is None:
-        raise DomainError(
-            f"{entry.label} has no start/stop companions in the catalog"
-        )
-    return CompositeScheme(
-        start=entry.start, main=entry.main, stop=entry.stop, q=entry.q
-    )
+    """The composite scheme of a catalog entry, verified when the catalog loaded."""
+    if entry.scheme is None:
+        raise DomainError(f"{entry.label} has no start/stop companions in the catalog")
+    return entry.scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,14 +349,3 @@ def _pack(records) -> Trajectory:
     times = np.array([r[1] for r in records])
     states = np.array([r[2] for r in records])
     return Trajectory(steps=steps, times=times, states=states)
-
-
-def trajectory_csv(trajectory: Trajectory) -> str:
-    """Render a trajectory as CSV: step, t, then one column per component."""
-    dim = trajectory.states.shape[1]
-    lines = ["step,t," + ",".join(f"component_{i}" for i in range(dim))]
-    for k, t, u in zip(trajectory.steps, trajectory.times, trajectory.states):
-        lines.append(
-            f"{int(k)},{float(t)!r}," + ",".join(repr(float(x)) for x in u)
-        )
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ baselines they contain, and the sparse n^2+1-stage effective-order-four
 family), frozen coefficient files for methods with published or searched
 15-digit tableaux, and the start/stop companions needed to run composites.
 Nothing in an entry is trusted: every catalog load re-verifies orders,
-coefficients, and start/stop targets from scratch.
+coefficients, and, by building each composite scheme, start/stop targets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError
-from .order_conditions import check_companions, classical_order, effective_order
+from .integrator import CompositeScheme
+from .order_conditions import classical_order, effective_order
 from .ssp import ssp_coefficient
 from .tableau import ButcherTableau, ShuOsherForm, parse_tableau, shu_osher_to_butcher
 
@@ -45,20 +46,28 @@ DEFAULT_GAMMA_432 = 1.0 / 3.0
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """One catalog method with optional start/stop companions.
+    """One catalog method with its composite scheme, if it has companions.
 
     ``ssp_coefficient`` is the two-decimal reference value; the load-time
-    check recomputes the true coefficient and requires agreement.  ``start``
-    and ``stop`` are None for methods meant to run standalone.
+    check recomputes the true coefficient and requires agreement.  ``scheme``
+    is the composite verified at load; it, ``start`` and ``stop`` are None
+    for methods meant to run standalone.
     """
 
     label: str
     main: ButcherTableau
-    start: ButcherTableau | None
-    stop: ButcherTableau | None
+    scheme: CompositeScheme | None
     q: int
     p: int
     ssp_coefficient: float
+
+    @property
+    def start(self) -> ButcherTableau | None:
+        return None if self.scheme is None else self.scheme.start
+
+    @property
+    def stop(self) -> ButcherTableau | None:
+        return None if self.scheme is None else self.scheme.stop
 
 
 def essprk_332(gamma: float) -> ButcherTableau:
@@ -158,33 +167,6 @@ def _load_tableau(name: str) -> ButcherTableau:
     return parse_tableau(text)
 
 
-def _verify_entry(entry: CatalogEntry) -> None:
-    main = entry.main
-    eo = effective_order(main)
-    if eo < entry.q:
-        raise DomainError(
-            f"{entry.label}: effective order {int(eo)} below labeled {entry.q}"
-        )
-    co = classical_order(main)
-    if co != entry.p:
-        raise DomainError(
-            f"{entry.label}: classical order {int(co)} != labeled {entry.p}"
-        )
-    measured = ssp_coefficient(main).coefficient
-    if abs(measured - entry.ssp_coefficient) > 0.005:
-        raise DomainError(
-            f"{entry.label}: coefficient {measured:.6f} does not match "
-            f"{entry.ssp_coefficient} to 2 decimals"
-        )
-    if (entry.start is None) != (entry.stop is None):
-        raise DomainError(f"{entry.label}: start/stop must come as a pair")
-    if entry.start is not None:
-        s = main.s
-        if entry.start.s > s + 1 or entry.stop.s > s:
-            raise DomainError(f"{entry.label}: start/stop exceed stage caps")
-        check_companions(main, entry.start, entry.stop, entry.q)
-
-
 def _entry(
     label: str,
     main: ButcherTableau,
@@ -193,20 +175,41 @@ def _entry(
     coefficient: float,
     stem: str | None = None,
 ) -> CatalogEntry:
-    """A catalog entry; ``stem`` names its start/stop companion files."""
-    start = stop = None
+    """A verified catalog entry; ``stem`` names its start/stop companion files.
+
+    The labeled orders are checked before any scheme is built, so a
+    mislabeled main method fails on its label, not as a companion miss.
+    """
+    eo = effective_order(main)
+    if eo < q:
+        raise DomainError(f"{label}: effective order {int(eo)} below labeled {q}")
+    co = classical_order(main)
+    if co != p:
+        raise DomainError(f"{label}: classical order {int(co)} != labeled {p}")
+    scheme = None
     if stem is not None:
         start = _load_tableau(f"{stem}_start.json")
         stop = _load_tableau(f"{stem}_stop.json")
-    return CatalogEntry(label, main, start, stop, q, p, coefficient)
+        if start.s > main.s + 1 or stop.s > main.s:
+            raise DomainError(f"{label}: start/stop exceed stage caps")
+        # certifies the companions and the main method's coefficient
+        scheme = CompositeScheme(start=start, main=main, stop=stop, q=q)
+    measured = (ssp_coefficient(main) if scheme is None else scheme).coefficient
+    if abs(measured - coefficient) > 0.005:
+        raise DomainError(
+            f"{label}: coefficient {measured:.6f} does not match "
+            f"{coefficient} to 2 decimals"
+        )
+    return CatalogEntry(label, main, scheme, q, p, coefficient)
 
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
     """All shipped methods, verified at load.
 
-    Entries with start/stop companions can be run as composites at their
-    effective order; the rest are standalone baselines or family members.
+    Entries with start/stop companions carry the composite scheme that runs
+    them at their effective order; the rest are standalone baselines or
+    family members.
     """
     entries = [
         _entry("ESSPRK(3,3,2)", essprk_332(DEFAULT_GAMMA_332), 3, 2, 1.0,
@@ -228,8 +231,6 @@ def catalog() -> tuple[CatalogEntry, ...]:
         _entry("SSPRK(3,3)", ssprk_33(), 3, 3, 1.0),
         _entry("SSPRK(4,3)", ssprk_43(), 3, 3, 2.0),
     ]
-    for entry in entries:
-        _verify_entry(entry)
     return tuple(entries)
 
 

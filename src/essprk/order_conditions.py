@@ -60,7 +60,6 @@ __all__ = [
     "effective_order",
     "effective_order_residuals",
     "recover_starting_weights",
-    "start_stop_targets",
     "conjugacy_residuals",
     "resolve_free_weights",
     "order5_barrier_witness",
@@ -523,27 +522,15 @@ def _starting_series(starting: StartingWeights) -> np.ndarray:
     return alpha
 
 
-def start_stop_targets(
-    weights: np.ndarray, starting: StartingWeights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target elementary weights for the starting and stopping methods.
+def _start_stop_targets(w, starting: StartingWeights) -> tuple:
+    """The targets alpha.Phi and Phi.alpha^-1 for main weights Phi.
 
-    Given main-method weights Phi and fully resolved starting weights
-    alpha, returns the first nine weights of alpha.Phi and Phi.alpha^-1
-    (index 0 is the empty tree).  A starting method must hit the first, a
-    stopping method the second, for the composite to run at the main
-    method's effective order.
+    A starting method must hit the first, a stopping method the second,
+    for the composite to run at the main method's effective order.  Free
+    slots of alpha count as 0; both targets are length-18 series.
     """
-    if starting.free:
-        raise DomainError(
-            f"starting weights still have free slots {starting.free}; "
-            "fill them before forming targets"
-        )
-    w = _weight_vector(weights)
     alpha = _starting_series(starting)
-    start = butcher_product(alpha, w)[:9]
-    stop = butcher_product(w, butcher_inverse(alpha))[:9]
-    return start, stop
+    return butcher_product(alpha, w), butcher_product(w, butcher_inverse(alpha))
 
 
 def conjugacy_residuals(
@@ -588,7 +575,7 @@ def resolve_free_weights(
     if not starting.free:
         return starting
     free = list(starting.free)
-    base = butcher_product(_starting_series(starting), w)
+    base = _start_stop_targets(w, starting)[0]
     return starting.fill(ws[free] - base[free])
 
 
@@ -608,8 +595,7 @@ def _companion_conditions(w, q: int, p: int, tol: float = DEFAULT_ORDER_TOL):
     if q not in (3, 4):
         raise DomainError("start/stop targets cover effective orders 3 and 4 only")
     starting = recover_starting_weights(w, EffectiveOrderSpec(q, p), tol)
-    alpha = _starting_series(starting)
-    targets = butcher_product(alpha, w), butcher_product(w, butcher_inverse(alpha))
+    targets = _start_stop_targets(w, starting)
     low = slice(1, _trees_through(q - 1) + 1)
     free = slice(low.stop, _trees_through(q) + 1)
 

@@ -114,30 +114,6 @@ class ShuOsherForm:
         return self.v.size - 1
 
 
-def validate(tableau: ButcherTableau, *,
-             include_warnings: bool = False) -> list[str]:
-    """Problems with a tableau that construction does not rule out.
-
-    Returns an empty list iff every coefficient is finite; construction
-    already enforces an explicit A and c as its row sums.  With
-    include_warnings=True, reducibility diagnostics (zero weights,
-    unreachable stages) are appended; these are prefixed "warning:" and do
-    not indicate invalidity.
-    """
-    A, b = tableau.A, tableau.b
-    problems = []
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-        problems.append("non-finite coefficient")
-    if include_warnings:
-        for j in np.flatnonzero(b == 0.0):
-            if np.all(A[:, j] == 0.0):
-                problems.append(f"warning: stage {j} is unreachable "
-                                "(zero weight and never used)")
-            else:
-                problems.append(f"warning: zero weight b[{j}]")
-    return problems
-
-
 def shu_osher_to_butcher(form: ShuOsherForm, label: str | None = None,
                          q: int | None = None, p: int | None = None) -> ButcherTableau:
     """Convert a modified Shu-Osher form to the equivalent Butcher tableau.

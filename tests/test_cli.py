@@ -1,8 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import json
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -632,10 +630,7 @@ def test_python_dash_m_essprk_runs_the_cli():
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "essprk.cli", "catalog"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    # the child imports this checkout's src, installed or not
+    proc = run_module("essprk.cli", "catalog", timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)[0]["label"] == "ESSPRK(3,3,2)"

@@ -1,5 +1,6 @@
 """Stepping, composite runs, observation semantics."""
 
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from essprk import integrator, order_conditions
 from essprk.errors import DomainError, NonFiniteState
 from essprk.integrator import (
     IVP,
@@ -19,14 +21,17 @@ from essprk.integrator import (
     run_composite,
     run_single,
     shu_osher_step,
-    trajectory_csv,
 )
 from essprk.experiments import _dop853
 from essprk.methods import catalog, family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
-from conftest import make_random_tableau
+from conftest import make_random_tableau, run_python
+
+COMPANION_LABELS = (
+    "ESSPRK(3,3,2)", "ESSPRK(4,3,2)", "ESSPRK(4,4,2)", "ESSPRK(4,4,3)", "ESSPRK(5,4,2)",
+)
 
 
 def exponential_ivp(rate=1.0, span=1.0):
@@ -310,9 +315,55 @@ class TestRunSingle:
 
 class TestCompositeScheme:
     def test_catalog_entries_build(self):
-        for label in ("ESSPRK(3,3,2)", "ESSPRK(4,4,2)", "ESSPRK(4,4,3)", "ESSPRK(5,4,2)"):
-            scheme = composite_from_entry(lookup(label))
+        # each companion entry carries the scheme it was verified as at load
+        for label in COMPANION_LABELS:
+            entry = lookup(label)
+            scheme = composite_from_entry(entry)
+            assert scheme is entry.scheme and scheme.main is entry.main
             assert scheme.q in (3, 4)
+
+    def test_warm_catalog_verifies_no_composite_again(self, monkeypatch):
+        catalog()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a catalog composite was verified again")
+
+        monkeypatch.setattr(integrator, "check_companions", refuse)
+        monkeypatch.setattr(integrator, "ssp_coefficient", refuse)
+        monkeypatch.setattr(order_conditions, "elementary_weights", refuse)
+        for label in COMPANION_LABELS:
+            assert composite_from_entry(lookup(label)).q == lookup(label).q
+
+    def test_cold_catalog_verifies_each_composite_once(self):
+        # every essprk module's binding of the two checks is counted, so a
+        # second verification anywhere, at load or on use, shows
+        script = (
+            "import json, sys\n"
+            "import essprk\n"
+            "counts = {'check_companions': 0, 'ssp_coefficient': 0}\n"
+            "def counted(name, f):\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        counts[name] += 1\n"
+            "        return f(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "for key, module in list(sys.modules.items()):\n"
+            "    if not key.startswith('essprk.'):\n"
+            "        continue\n"
+            "    for name in counts:\n"
+            "        if callable(getattr(module, name, None)):\n"
+            "            setattr(module, name, counted(name, getattr(module, name)))\n"
+            "cold = dict(counts)\n"
+            "essprk.catalog()\n"
+            "loaded = dict(counts)\n"
+            f"for label in {COMPANION_LABELS!r}:\n"
+            "    essprk.composite_from_entry(essprk.lookup(label))\n"
+            "print(json.dumps([cold, loaded, counts]))\n"
+        )
+        proc = run_python(script, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        none = {"check_companions": 0, "ssp_coefficient": 0}
+        once = {"check_companions": 5, "ssp_coefficient": 9}
+        assert json.loads(proc.stdout) == [none, once, once]
 
     def test_entry_without_companions_rejected(self):
         with pytest.raises(DomainError, match="companions"):
@@ -403,13 +454,3 @@ class TestRunComposite:
         b = run_composite(scheme_442, ivp, 50, observe_at="all")
         assert np.array_equal(a.states, b.states)
 
-
-def test_trajectory_csv(ssprk33):
-    traj = run_single(ssprk33, exponential_ivp(), 4, observe_at=[0, 2])
-    text = trajectory_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,t,component_0"
-    assert len(lines) == 4
-    assert lines[1].startswith("0,0.0,")
-    # values survive a parse round trip exactly
-    assert float(lines[-1].split(",")[2]) == traj.final[0]

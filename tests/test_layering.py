@@ -1,9 +1,10 @@
-"""The optimizer alone owns the layout that packs tableaux into a vector.
+"""Which library module owns what, read from the source with ``ast``.
 
-Read from the source with ``ast``: the packing helpers and the weights
-routine built on them are defined in ``optimizer.py`` and imported by no
-other module of the library, so the tree algebra and the experiments
-never see the layout.
+The optimizer alone owns the layout that packs tableaux into a vector: the
+packing helpers and the weights routine built on them are defined in
+``optimizer.py`` and imported by no other module, so the tree algebra and
+the experiments never see the layout.  ``CompositeScheme`` alone verifies
+a start/main/stop triple, so only ``integrator.py`` imports the check.
 """
 
 import ast
@@ -46,3 +47,10 @@ def test_defined_only_in_the_optimizer(name):
 @pytest.mark.parametrize("name", PACKING)
 def test_imported_by_no_module(name):
     assert [m for m, tree in modules().items() if name in imported(tree)] == []
+
+
+def test_only_the_integrator_imports_the_companion_check():
+    trees = modules().items()
+    assert [m for m, tree in trees if "check_companions" in imported(tree)] == [
+        "integrator.py"
+    ]

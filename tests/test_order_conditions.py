@@ -26,7 +26,6 @@ from essprk.order_conditions import (
     order5_barrier_witness,
     recover_starting_weights,
     resolve_free_weights,
-    start_stop_targets,
 )
 
 from essprk.tableau import ButcherTableau
@@ -188,24 +187,25 @@ class TestRecovery:
         # the chain-of-four weight is identically zero on three stages
         assert info.value.best_residuals[-1] == pytest.approx(-1 / 24, abs=1e-12)
 
-    def test_targets_require_resolved_weights(self):
+    def test_targets_read_free_slots_as_zero(self):
         t = essprk_432(0.3)
         w = elementary_weights(t)
         sw = recover_starting_weights(w, EffectiveOrderSpec(3, 2))
-        with pytest.raises(DomainError, match="free slots"):
-            start_stop_targets(w, sw)
+        free = order_conditions._start_stop_targets(w, sw)
+        zero = order_conditions._start_stop_targets(w, sw.fill([0.0, 0.0]))
+        for a, b in zip(free, zero):
+            assert np.array_equal(a, b)
 
     def test_round_trip_through_targets(self):
         t = essprk_332(0.5)
         w = elementary_weights(t)
         sw = recover_starting_weights(w, EffectiveOrderSpec(3, 2))
         filled = sw.fill([0.033, -0.041])
-        rho, tau = start_stop_targets(w, filled)
+        rho, tau = order_conditions._start_stop_targets(w, filled)
         assert rho[0] == tau[0] == 1.0
         assert rho[1] == tau[1] == pytest.approx(w[1], abs=1e-15)
         # a starting method hitting rho exactly reproduces the free choices
-        fake = np.concatenate([rho, np.zeros(N_TREES - 9)])
-        resolved = resolve_free_weights(w, sw, fake)
+        resolved = resolve_free_weights(w, sw, rho)
         assert np.allclose(resolved.values, filled.values, atol=1e-14)
 
     def test_resolve_is_identity_when_nothing_free(self, rk4):

@@ -18,7 +18,6 @@ from essprk.tableau import (
     parse_shu_osher,
     parse_tableau,
     shu_osher_to_butcher,
-    validate,
 )
 
 from conftest import MALFORMED_DOCUMENTS, make_random_tableau
@@ -121,10 +120,6 @@ class TestButcherTableau:
         with pytest.raises(ValueError):
             ButcherTableau(A=np.zeros((1, 1)), b=np.zeros((1, 1)))
 
-    def test_validate_clean(self, ssprk33, rk4):
-        assert validate(ssprk33) == []
-        assert validate(rk4) == []
-
     def test_construction_rejects_upper_entries(self):
         # stepping would read the lower triangle and the row sums the whole A
         A = np.array([[0.0, 5.0], [1.0, 0.0]])
@@ -148,21 +143,6 @@ class TestButcherTableau:
             A[ij] = value
         with pytest.raises(ValueError, match=rf"A\[{first}\] != 0 on or above"):
             ButcherTableau(A=A, b=np.full(3, 1 / 3))
-
-    def test_validate_catches_nonfinite(self):
-        A = np.zeros((2, 2))
-        A[1, 0] = np.nan
-        problems = validate(ButcherTableau(A=A, b=np.array([0.5, 0.5])))
-        assert any("non-finite" in p for p in problems)
-
-    def test_validate_warnings_optional(self):
-        # stage 1 has zero weight and feeds nothing
-        A = np.zeros((2, 2))
-        A[1, 0] = 1.0
-        t = ButcherTableau(A=A, b=np.array([1.0, 0.0]))
-        assert validate(t) == []
-        warned = validate(t, include_warnings=True)
-        assert any(p.startswith("warning:") for p in warned)
 
 
 class TestShuOsher:

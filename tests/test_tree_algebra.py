@@ -21,6 +21,7 @@ from essprk.order_conditions import (
     StartingWeights,
     _elimination,
     _residual_jacobian,
+    _start_stop_targets,
     _weights_jacobian,
     butcher_inverse,
     butcher_product,
@@ -32,7 +33,6 @@ from essprk.order_conditions import (
     elementary_weights,
     recover_starting_weights,
     resolve_free_weights,
-    start_stop_targets,
 )
 from essprk.optimizer import _pack_dim, _split, _tangents
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
@@ -441,10 +441,10 @@ class TestTargetsAgainstClosedForms:
         rng = np.random.default_rng(8)
         for _ in range(2000):
             w, starting = random_weights(rng), random_starting(rng)
-            start, stop = start_stop_targets(w, starting)
+            start, stop = _start_stop_targets(w, starting)
             ref_start, ref_stop = reference_start_stop_values(w, starting.values)
-            assert_close(start, ref_start)
-            assert_close(stop, ref_stop)
+            assert_close(start[:9], ref_start)
+            assert_close(stop[:9], ref_stop)
 
     def test_conjugacy_targets(self):
         rng = np.random.default_rng(9)
@@ -488,31 +488,31 @@ class TestFreeSlots:
         # (slot, start move, stop move) on the rows through order q when
         # one free slot goes from 0 to 1, over random weights
         rng = np.random.default_rng(q)
-        rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
+        rows = (TREE_ORDER >= 1) & (TREE_ORDER <= q)
         for _ in range(20):
             w = random_weights(rng)
             v = random_starting(rng).values.copy()
             v[list(free)] = 0.0
-            base = start_stop_targets(w, StartingWeights(v))
+            base = _start_stop_targets(w, StartingWeights(v))
             for slot in free:
                 bumped = v.copy()
                 bumped[slot] = 1.0
-                moved = start_stop_targets(w, StartingWeights(bumped))
+                moved = _start_stop_targets(w, StartingWeights(bumped))
                 yield slot, *((m - b)[rows] for m, b in zip(moved, base))
 
     @pytest.mark.parametrize("q,free", [(3, (3, 4)), (4, (5, 6, 7, 8))])
     def test_each_free_slot_enters_one_start_row_with_unit_coefficient(self, q, free):
-        rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
+        rows = (TREE_ORDER >= 1) & (TREE_ORDER <= q)
         for slot, start, _ in self.moves(q, free):
-            np.testing.assert_allclose(start, np.eye(9)[slot][rows], atol=1e-12)
+            np.testing.assert_allclose(start, np.eye(N_TREES)[slot][rows], atol=1e-12)
 
     @pytest.mark.parametrize("q,free", [(3, (3, 4)), (4, (5, 6, 7, 8))])
     def test_each_free_slot_enters_one_stop_row_with_coefficient_minus_one(
         self, q, free
     ):
-        rows = (TREE_ORDER[:9] >= 1) & (TREE_ORDER[:9] <= q)
+        rows = (TREE_ORDER >= 1) & (TREE_ORDER <= q)
         for slot, _, stop in self.moves(q, free):
-            np.testing.assert_allclose(stop, -np.eye(9)[slot][rows], atol=1e-12)
+            np.testing.assert_allclose(stop, -np.eye(N_TREES)[slot][rows], atol=1e-12)
 
 
 # row k of reference_effective_order_residuals at (q, p) is sign times the
