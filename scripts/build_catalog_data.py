@@ -7,8 +7,8 @@ else is searched with fixed seeds.  A rerun is deterministic and reaches
 the same certified coefficients, but the searched files need not match the
 shipped ones: the searched main method may differ in its low digits, and a
 companion pair, which is not unique, may be a different pair altogether.
-Every written file is checked by loading the catalog from the output
-directory.
+Every written file is checked by loading the catalog and DOP853 from the
+output directory.
 
 Run from anywhere: python3 scripts/build_catalog_data.py [--out DIR]
 (DIR defaults to src/essprk/data).
@@ -228,16 +228,20 @@ def main() -> None:
     print("verifying the full catalog from the written files:")
     import essprk.methods as methods
 
-    # the catalog reads every data file through _load_tableau; point it at
-    # the output directory so the load-time checks cover what was written
+    # the catalog and DOP853 read every data file through _load_tableau;
+    # point it at the output directory so the checks cover what was written
     methods._load_tableau = lambda name: parse_tableau((out_dir / name).read_text())
     methods.catalog.cache_clear()
+    methods.dop853.cache_clear()
     for entry in methods.catalog():
         extra = "" if entry.start is None else " [start/stop]"
         print(
             f"  {entry.label}: s={entry.main.s} q={entry.q} p={entry.p} "
             f"C~{entry.ssp_coefficient}{extra}"
         )
+    if emit_tableau(methods.dop853()) != emit_tableau(dop853()):
+        raise SystemExit("dop853.json does not load as written")
+    print("  DOP853: loads as written")
     print("catalog verification passed")
 
 

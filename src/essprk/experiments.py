@@ -11,9 +11,8 @@ numpy's ``rk_step``.  The van der Pol oscillator supplies the smooth
 convergence study.  Its studies step a 2-vector whose slope costs far
 less than ``rk_step``'s numpy overhead, so each study generates float
 steps for its tableaux (``integrator._float_step``) and steps those.  Its
-reference solution steps the frozen eighth-order DOP853 tableau of
-Dormand and Prince (``data/dop853.json``) with ``rk_step``, with step
-halving until two resolutions agree to 1e-11.
+reference solution steps the eighth-order :func:`~essprk.methods.dop853`
+with ``rk_step``, with step halving until two resolutions agree to 1e-11.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from importlib import resources
 from typing import Iterator
 
 import numpy as np
@@ -38,18 +36,9 @@ from .integrator import (
     rk_step,
     run_single,
 )
-from .order_conditions import (
-    EffectiveOrderSpec,
-    _starting_series,
-    _trees_through,
-    butcher_inverse,
-    classical_order,
-    elementary_weights,
-    recover_starting_weights,
-    resolve_free_weights,
-)
+from .methods import dop853
 from .ssp import _bracket
-from .tableau import ButcherTableau, parse_tableau
+from .tableau import ButcherTableau
 
 __all__ = [
     "BurgersGrid",
@@ -64,7 +53,6 @@ __all__ = [
     "vdp_single_convergence",
     "reference_solution",
     "convergence_slope",
-    "perturbation_pair_tableaux",
     "VDP_STEP_COUNTS",
 ]
 
@@ -295,14 +283,6 @@ def vdp_ivp() -> IVP:
     return IVP(rhs=_vdp_rhs, u0=np.array([2.0, 1.0]), t0=0.0, tf=VDP_FINAL_TIME)
 
 
-@lru_cache(maxsize=1)
-def _dop853() -> ButcherTableau:
-    # the 12-stage, eighth-order tableau of Dormand and Prince, frozen from
-    # scipy's dop853_coefficients (A[:12, :12] and B)
-    data = resources.files(__package__ + ".data").joinpath("dop853.json")
-    return parse_tableau(data.read_bytes())
-
-
 def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
     """Final state by eighth-order DOP853 stepping with certified step halving.
 
@@ -313,12 +293,12 @@ def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
     Pol studies, so the oracle shares no stepping code with what it
     certifies.
     """
-    dop853 = _dop853()
+    tableau = dop853()
     n = 2048
-    coarse = run_single(dop853, ivp, n).final
+    coarse = run_single(tableau, ivp, n).final
     for _ in range(max_doublings):
         n *= 2
-        fine = run_single(dop853, ivp, n).final
+        fine = run_single(tableau, ivp, n).final
         if float(np.max(np.abs(fine - coarse))) <= REFERENCE_ACCURACY:
             return fine
         coarse = fine
@@ -385,28 +365,3 @@ def vdp_single_convergence(tableau: ButcherTableau):
     """Same study but stepping one tableau alone (no start/stop bracket)."""
     return _vdp_study(tableau, tableau, tableau)
 
-
-# ---- direct perturbation methods (negative weights, for the TVD contrast) ----
-
-
-def perturbation_pair_tableaux(
-    scheme: CompositeScheme,
-) -> tuple[ButcherTableau, ButcherTableau]:
-    """Methods realizing the raw perturbation and its inverse directly.
-
-    The perturbation fixes target weights with zero weight on the one-node
-    tree, so any method hitting them has weights summing to zero, hence
-    some negative ones: the pair demonstrates why composites use the
-    combined start/stop methods instead.  Each method has q stages, whose
-    packed coefficients outnumber the trees through order q for the
-    orders a composite admits.  Deterministic solve, no seeds.
-    """
-    from .optimizer import _fit_weights
-
-    p = int(classical_order(scheme.main))
-    w = elementary_weights(scheme.main)
-    starting = recover_starting_weights(w, EffectiveOrderSpec(scheme.q, p))
-    resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
-    alpha = _starting_series(resolved)
-    rows = slice(1, _trees_through(scheme.q) + 1)
-    return _fit_weights(scheme.q, rows, [alpha, butcher_inverse(alpha)])

@@ -18,6 +18,7 @@ non-finite result back to ``rk_step`` for the diagnosis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator
@@ -59,8 +60,11 @@ class IVP:
             raise DomainError("u0 must be a vector")
         if not np.isfinite(u0).all():
             raise DomainError("u0 must be finite")
-        if not self.tf > self.t0:
-            raise DomainError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        # an infinite end gives an infinite span, and so can two finite ends
+        if not (self.tf > self.t0 and math.isfinite(self.tf - self.t0)):
+            raise DomainError(
+                f"need tf > t0 with a finite span, got [{self.t0}, {self.tf}]"
+            )
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
 
@@ -263,6 +267,14 @@ def _normalize_observe(observe_at, n: int, composite: bool):
     return out
 
 
+def _check_steps(n, least: int) -> None:
+    # bools are integers to Python, and a fractional n would reach range()
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"step count must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"need at least {least} steps, got {n}")
+
+
 def _steps(start, main, stop, ivp: IVP, n: int):
     """Yield (step, time, state) from u0 through n uniform steps.
 
@@ -292,8 +304,7 @@ def run_single(
     ``observe_at`` selects recorded step indices (``"all"`` for every step);
     the final state is always recorded.  Default: final state only.
     """
-    if n < 1:
-        raise DomainError(f"need at least one step, got {n}")
+    _check_steps(n, 1)
     obs = _normalize_observe(observe_at, n, composite=False)
     step = partial(rk_step, tableau, ivp.rhs)
     return _pack([r for r in _steps(step, step, step, ivp, n) if r[0] in obs])
@@ -308,8 +319,7 @@ def composite_steps(
     method, then the stopping method; interior raw states are the
     perturbed ones, accurate only to the main method's classical order.
     """
-    if n < 3:
-        raise DomainError("composite scheme requires at least 3 steps")
+    _check_steps(n, 3)
     tableaux = (scheme.start, scheme.main, scheme.stop)
     yield from _steps(*(partial(rk_step, t, ivp.rhs) for t in tableaux), ivp, n)
 
@@ -327,8 +337,7 @@ def run_composite(
     step 1 is not observable this way and is rejected in ``observe_at``.
     The final state is always recorded.
     """
-    if n < 3:
-        raise DomainError("composite scheme requires at least 3 steps")
+    _check_steps(n, 3)
     obs = _normalize_observe(observe_at, n, composite=True)
     dt = (ivp.tf - ivp.t0) / n
     stop = partial(rk_step, scheme.stop, ivp.rhs)

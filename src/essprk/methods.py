@@ -7,6 +7,8 @@ family), frozen coefficient files for methods with published or searched
 15-digit tableaux, and the start/stop companions needed to run composites.
 Nothing in an entry is trusted: every catalog load re-verifies orders,
 coefficients, and, by building each composite scheme, start/stop targets.
+The frozen DOP853 tableau behind the van der Pol reference ships beside
+the catalog's files, read by the same loader, but is not an entry.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "family_n2p1",
     "catalog",
     "lookup",
+    "dop853",
     "DEFAULT_GAMMA_332",
     "DEFAULT_GAMMA_432",
 ]
@@ -232,6 +235,13 @@ def catalog() -> tuple[CatalogEntry, ...]:
         _entry("SSPRK(4,3)", ssprk_43(), 3, 3, 2.0),
     ]
     return tuple(entries)
+
+
+@lru_cache(maxsize=1)
+def dop853() -> ButcherTableau:
+    """DOP853, the 12-stage, eighth-order tableau of Dormand and Prince, frozen
+    from scipy's ``dop853_coefficients`` (A[:12, :12] and B)."""
+    return _load_tableau("dop853.json")
 
 
 def lookup(label: str) -> CatalogEntry:

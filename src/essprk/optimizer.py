@@ -17,6 +17,7 @@ coefficient for its companions), then maximizes r from that point, or
 from its raw start when the first solve failed.  Restarts draw their
 initial guesses from a per-restart seeded stream and are merged
 deterministically, so a fixed seed always reproduces the same outcome.
+An unconstrained fit builds a composite's raw perturbation pair.
 """
 
 from __future__ import annotations
@@ -31,12 +32,17 @@ from scipy.linalg import block_diag, solve_triangular
 from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, EssprkError, OrderConditionsInfeasible
+from .integrator import CompositeScheme
 from .order_conditions import (
     EffectiveOrderSpec,
     StartingWeights,
     _companion_conditions,
     _residual_jacobian,
+    _starting_series,
+    _trees_through,
     _weights_jacobian,
+    butcher_inverse,
+    classical_order,
     effective_order_residuals,
     elementary_weights,
     resolve_free_weights,
@@ -50,6 +56,7 @@ __all__ = [
     "StartStopOutcome",
     "optimize_main",
     "optimize_start_stop",
+    "perturbation_pair_tableaux",
 ]
 
 
@@ -60,7 +67,8 @@ class SearchConfig:
     Each restart makes at most two solves of ``max_iterations`` iterations
     (one least-squares solve for effective order five).  A point counts as
     feasible when every order residual is within ``residual_tol`` and no
-    margin is below ``-residual_tol``.
+    margin is below ``-residual_tol``.  ``seed``, a nonnegative integer,
+    fixes every restart's initial guess.
     """
 
     restarts: int = 8
@@ -70,12 +78,12 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         # bools are integers to Python, so True would pass as one restart
-        for name in ("restarts", "max_iterations"):
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise DomainError(f"{name} must be at least 1")
+            if value < least:
+                raise DomainError(f"{name} must be at least {least}")
         tol = self.residual_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
             raise DomainError(f"residual_tol must be a number, got {tol!r}")
@@ -333,32 +341,6 @@ def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray
     return best[:-1]
 
 
-def _fit_weights(s: int, rows, targets) -> tuple:
-    """s-stage tableaux whose elementary weights on ``rows`` hit each target.
-
-    Signs are unconstrained.  Each target gets a least-squares fit over up
-    to 40 restarts, drawn in turn from one fixed-seed stream, so the result
-    is deterministic; raises when a fit stalls above 1e-9.
-    """
-    weights, jacobian = _packed_weights([s], rows)
-    dim = _pack_dim(s)
-    rng = np.random.default_rng(1234)
-    # 100 * dim is least_squares' own default evaluation budget
-    config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
-    out = []
-    for target in targets:
-        goal = target[rows]
-        x = _least_squares_fit(
-            lambda x: weights(x) - goal, jacobian,
-            lambda k: rng.uniform(-0.8, 0.8, size=dim), -np.inf, config,
-        )
-        residual = float(np.max(np.abs(weights(x) - goal)))
-        if not residual <= 1e-9:
-            raise EssprkError(f"weight fit stalled at residual {residual:.2e}")
-        out.append(ButcherTableau(*_split(x, [s])[0]))
-    return tuple(out)
-
-
 def optimize_main(
     s: int,
     spec: EffectiveOrderSpec,
@@ -456,3 +438,41 @@ def optimize_start_stop(
         success=bool(min_radius + 1e-9 >= main.ssp.coefficient),
         worst_residual=float(np.max(np.abs(eq(x)))),
     )
+
+
+def perturbation_pair_tableaux(
+    scheme: CompositeScheme,
+) -> tuple[ButcherTableau, ButcherTableau]:
+    """Methods realizing the raw perturbation and its inverse directly.
+
+    The perturbation fixes target weights with zero weight on the one-node
+    tree, so any method hitting them has weights summing to zero, hence
+    some negative ones: the pair demonstrates why composites use the
+    combined start/stop methods instead.  Each method has q stages, whose
+    packed coefficients outnumber the trees through order q for the
+    orders a composite admits.  Each is a least-squares fit, signs free,
+    over up to 40 restarts drawn in turn from one fixed-seed stream, so the
+    pair is deterministic; raises when a fit stalls above 1e-9.
+    """
+    w = elementary_weights(scheme.main)
+    starting = _companion_conditions(w, scheme.q, int(classical_order(scheme.main)))[0]
+    resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
+    alpha = _starting_series(resolved)
+    s, rows = scheme.q, slice(1, _trees_through(scheme.q) + 1)
+    weights, jacobian = _packed_weights([s], rows)
+    dim = _pack_dim(s)
+    rng = np.random.default_rng(1234)
+    # 100 * dim is least_squares' own default evaluation budget
+    config = SearchConfig(restarts=40, max_iterations=100 * dim, residual_tol=1e-11)
+    out = []
+    for target in (alpha, butcher_inverse(alpha)):
+        goal = target[rows]
+        x = _least_squares_fit(
+            lambda x: weights(x) - goal, jacobian,
+            lambda k: rng.uniform(-0.8, 0.8, size=dim), -np.inf, config,
+        )
+        residual = float(np.max(np.abs(weights(x) - goal)))
+        if not residual <= 1e-9:
+            raise EssprkError(f"weight fit stalled at residual {residual:.2e}")
+        out.append(ButcherTableau(*_split(x, [s])[0]))
+    return tuple(out)

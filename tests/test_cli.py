@@ -1,6 +1,8 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import importlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from essprk.tableau import (
 
 from conftest import (
     MALFORMED_DOCUMENTS,
+    ROOT,
     _shu_osher_doc,
     _tableau_doc,
     run_module,
@@ -302,6 +305,15 @@ class TestOptimize:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_negative_seed(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "optimize", "--s", "3", "--q", "3", "--p", "2",
+            "--restarts", "1", "--seed", "-1", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestCatalogCommand:
@@ -629,8 +641,13 @@ def test_python_dash_m_essprk_runs_the_cli():
     assert json.loads(package.stdout)[0]["label"] == "ESSPRK(3,3,2)"
 
 
-def test_console_script_installed():
-    # the child imports this checkout's src, installed or not
-    proc = run_module("essprk.cli", "catalog", timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)[0]["label"] == "ESSPRK(3,3,2)"
+def test_console_script_names_cli_main(capsys):
+    # the essprk line of [project.scripts], read as text: tomllib is 3.11+
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^essprk\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
+    assert target is not None, scripts
+    entry = getattr(importlib.import_module(target[1]), target[2])
+    assert entry is main
+    assert entry(["catalog"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["label"] == "ESSPRK(3,3,2)"

@@ -17,7 +17,6 @@ from essprk.experiments import (
     convergence_slope,
     dt_fe,
     max_tvd_sigma,
-    perturbation_pair_tableaux,
     reference_solution,
     run_tvd,
     run_tvd_single,
@@ -26,7 +25,8 @@ from essprk.experiments import (
     vdp_single_convergence,
 )
 from essprk.integrator import IVP, composite_from_entry, rk_step, run_single
-from essprk.methods import lookup
+from essprk.methods import dop853, lookup
+from essprk.optimizer import perturbation_pair_tableaux
 from essprk.order_conditions import classical_order
 from essprk.tableau import emit_tableau, parse_tableau
 
@@ -487,7 +487,7 @@ class TestVdpStudyFailure:
     @pytest.mark.parametrize("label", ["ESSPRK(4,4,2)", "DOP853"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_slope_at_each_stage(self, monkeypatch, label, bad):
-        tableau = experiments._dop853() if label == "DOP853" else lookup(label).main
+        tableau = dop853() if label == "DOP853" else lookup(label).main
         experiments._vdp_reference()  # warm: the reference must not see bad
         n = experiments.VDP_STEP_COUNTS[0]
         for stage in range(tableau.s):

@@ -22,8 +22,7 @@ from essprk.integrator import (
     run_single,
     shu_osher_step,
 )
-from essprk.experiments import _dop853
-from essprk.methods import catalog, family_n2p1, lookup
+from essprk.methods import catalog, dop853, family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
 from essprk.tableau import ButcherTableau, shu_osher_to_butcher
 
@@ -56,6 +55,11 @@ class TestIVP:
             IVP(rhs=lambda u: u, u0=np.ones(1), t0=1.0, tf=1.0)
         with pytest.raises(DomainError, match="finite"):
             IVP(rhs=lambda u: u, u0=np.array([np.inf]), t0=0.0, tf=1.0)
+        for t0, tf in [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)]:
+            with pytest.raises(DomainError, match="finite span"):
+                IVP(rhs=lambda u: u, u0=np.ones(1), t0=t0, tf=tf)
+        with pytest.raises(DomainError, match="tf > t0"):
+            IVP(rhs=lambda u: u, u0=np.ones(1), t0=np.nan, tf=1.0)
 
     def test_scalar_initial_state_promoted(self):
         ivp = IVP(rhs=lambda u: u, u0=2.0, t0=0.0, tf=1.0)
@@ -64,7 +68,7 @@ class TestIVP:
 
 def structured_tableaux():
     """Every catalog main, start and stop tableau, and DOP853."""
-    out = [_dop853()]
+    out = [dop853()]
     for entry in catalog():
         out += [t for t in (entry.main, entry.start, entry.stop) if t is not None]
     return out
@@ -144,7 +148,7 @@ class TestRkStep:
     @pytest.mark.parametrize("m", [2, 4000])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_slope_at_each_stage_raises_silently(self, bad, m):
-        tableau = _dop853()
+        tableau = dop853()
         u = np.linspace(-1.0, 1.0, m)
         for stage in range(tableau.s):
             calls = []
@@ -311,6 +315,27 @@ class TestRunSingle:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as info:
             run_single(forward_euler, ivp, 10)
         assert info.value.step is not None
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True])
+@pytest.mark.parametrize("run", ["run_single", "run_composite", "composite_steps"])
+def test_step_count_must_be_an_integer(scheme_442, run, n):
+    ivp = exponential_ivp()
+    calls = {
+        "run_single": lambda: run_single(scheme_442.main, ivp, n),
+        "run_composite": lambda: run_composite(scheme_442, ivp, n),
+        "composite_steps": lambda: list(composite_steps(scheme_442, ivp, n)),
+    }
+    with pytest.raises(DomainError, match="must be an integer"):
+        calls[run]()
+
+
+def test_numpy_integer_step_count(scheme_442):
+    ivp = exponential_ivp()
+    assert run_single(scheme_442.main, ivp, np.int64(4)).steps.tolist() == [4]
+    a = run_composite(scheme_442, ivp, np.int64(4))
+    assert np.array_equal(a.final, run_composite(scheme_442, ivp, 4).final)
+    assert len(list(composite_steps(scheme_442, ivp, np.int64(4)))) == 5
 
 
 class TestCompositeScheme:

@@ -5,6 +5,8 @@ packing helpers and the weights routine built on them are defined in
 ``optimizer.py`` and imported by no other module, so the tree algebra and
 the experiments never see the layout.  ``CompositeScheme`` alone verifies
 a start/main/stop triple, so only ``integrator.py`` imports the check.
+The experiments build no method: the optimizer fits the perturbation
+pair, and ``methods.py`` alone reads the package's data files.
 """
 
 import ast
@@ -54,3 +56,37 @@ def test_only_the_integrator_imports_the_companion_check():
     assert [m for m, tree in trees if "check_companions" in imported(tree)] == [
         "integrator.py"
     ]
+
+
+def test_experiments_import_no_order_conditions_or_optimizer():
+    tree = modules()["experiments.py"]
+    assert [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("order_conditions", "optimizer")
+    ] == []
+
+
+def test_the_pair_fit_is_not_a_separate_function():
+    assert [m for m, tree in modules().items() if "_fit_weights" in defined(tree)] == []
+
+
+def test_the_optimizer_builds_the_perturbation_pair():
+    trees = modules().items()
+    assert [
+        m for m, tree in trees if "perturbation_pair_tableaux" in defined(tree)
+    ] == ["optimizer.py"]
+
+
+def test_only_methods_reads_package_data():
+    def reads(tree):
+        return any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "files"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "resources"
+            for node in ast.walk(tree)
+        )
+
+    assert [m for m, tree in modules().items() if reads(tree)] == ["methods.py"]

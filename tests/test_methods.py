@@ -194,9 +194,8 @@ def test_data_files_follow_their_package(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     script = (
         "import sys\n"
-        "from essprk_copy.experiments import _dop853\n"
-        "from essprk_copy.methods import catalog\n"
-        "assert len(catalog()) > 0 and _dop853().s == 12\n"
+        "from essprk_copy.methods import catalog, dop853\n"
+        "assert len(catalog()) > 0 and dop853().s == 12\n"
         "assert not any(m.split('.')[0] == 'essprk' for m in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(tmp_path))

@@ -75,6 +75,9 @@ class TestSearchConfig:
             {"restarts": 2.0},
             {"max_iterations": 2.5},
             {"max_iterations": False},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_rejects_bad_settings(self, kw):
