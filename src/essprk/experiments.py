@@ -5,7 +5,8 @@ first-order upwind flux on a periodic grid; forward Euler is provably
 total-variation diminishing there up to a known step size, which makes the
 largest oscillation-free step ratio of a composite scheme a measurable
 quantity.  Every run reads the total variation after each step from one
-generator; the bisection for that ratio stops each probe at the first
+generator; the bisection for that ratio settles each probe at or below the
+proven SSP ratio by theorem, and stops each other probe at the first
 increase, which already settles its verdict.  Burgers runs step with
 numpy's ``rk_step``.  The van der Pol oscillator supplies the smooth
 convergence study.  Its studies step a 2-vector whose slope costs far
@@ -37,7 +38,7 @@ from .integrator import (
     run_single,
 )
 from .methods import dop853
-from .ssp import _bracket
+from .ssp import _bracket, ssp_coefficient
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -156,7 +157,7 @@ class TVDReport:
         object.__setattr__(self, "tv_series", tv)
 
 
-def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float):
+def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float, least: int = 3):
     # n = ceil(tf / dt) steps at dt = sigma * dt_fe, ending at n * dt >= tf
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
@@ -171,6 +172,11 @@ def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float):
             f"more than the limit of {MAX_BURGERS_STEPS}"
         )
     n = math.ceil(steps)
+    if n < least:
+        raise DomainError(
+            f"sigma={sigma!r} and tf={tf!r} give {n} step{'s' * (n != 1)}; "
+            f"a {'composite ' * (least > 1)}run needs at least {least}"
+        )
     ivp = IVP(rhs=burgers_rhs(grid), u0=grid.initial_state(), t0=0.0, tf=n * dt)
     return ivp, n
 
@@ -216,7 +222,7 @@ def run_tvd_single(
     tf: float,
 ) -> TVDReport:
     """Same accounting as run_tvd but stepping one method with no bracket."""
-    ivp, n = _burgers_ivp(grid, sigma, tf)
+    ivp, n = _burgers_ivp(grid, sigma, tf, least=1)
     step = partial(rk_step, tableau, ivp.rhs)
     return _tvd_report(_steps(step, step, step, ivp, n), sigma, ivp, n)
 
@@ -244,20 +250,29 @@ def max_tvd_sigma(
     tf: float,
     tol: float = 0.01,
 ) -> float:
-    """Largest observed step ratio keeping total variation monotone.
+    """Largest ratio keeping total variation monotone.
 
     Brackets sigma over [C/2, 2C] around the certified coefficient C with
     the bisection of :func:`essprk.ssp.ssp_coefficient`, and returns the
     lower end; that is 2C outright in the (never observed) case that 2C
-    still shows no increase, and an error if C/2 already shows one.  Each
-    probe is the verdict of :func:`run_tvd` at default tolerance, but
-    stops stepping at the first increase or blow-up.  The bisection ends
-    once the bracket is no wider than ``tol`` or its midpoint rounds to an
-    endpoint; ``tol`` must be finite and nonnegative.
+    still shows no increase, and an error if C/2 already shows one.  Probes
+    at or below the proven ratio R are settled by theorem: when the data
+    are nonnegative, so the upwind flux is monotone, ``dt_fe`` is the
+    forward Euler TVD limit and the start, main and stop radii are all at
+    least sigma, each step is a convex combination of forward Euler steps
+    within that limit (Shu and Osher 1988; Gottlieb, Shu and Tadmor 2001).
+    R is the least of those radii, or 0 on data with a negative entry.
+    Probes above R are observed: the verdict of :func:`run_tvd` at default
+    tolerance, stopped at the first increase or blow-up.  The bisection
+    ends once the bracket is no wider than ``tol`` or its midpoint rounds
+    to an endpoint; ``tol`` must be finite and nonnegative.
     """
-    C = scheme.coefficient
+    nonnegative = np.min(grid.initial_state()) >= 0.0
+    tableaux = (scheme.start, scheme.main, scheme.stop) if nonnegative else ()
+    proven = min((ssp_coefficient(t).coefficient for t in tableaux), default=0.0)
     bracket = _bracket(
-        lambda sigma: _monotone_at(scheme, grid, sigma, tf), 0.5 * C, 2.0 * C, tol
+        lambda sigma: sigma <= proven or _monotone_at(scheme, grid, sigma, tf),
+        0.5 * scheme.coefficient, 2.0 * scheme.coefficient, tol,
     )
     if bracket is None:
         raise EssprkError(

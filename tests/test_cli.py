@@ -426,6 +426,20 @@ class TestBurgersCommand:
         assert len(errors) == 1
         assert "more than the limit" in errors[0]
 
+    def test_too_few_steps_names_sigma_and_final_time(self, capsys):
+        code, out, err = run_cli(
+            capsys, "burgers", "--scheme", "ESSPRK(4,4,2)",
+            "--sigma", "50", "--tf", "0.01",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            "error: sigma=50.0 and tf=0.01 give 1 step; "
+            "a composite run needs at least 3"
+        ]
+
 
 class TestSigmaTableCommand:
     def test_rows_and_safety_margin(self, capsys):
@@ -469,6 +483,16 @@ class TestSigmaTableCommand:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "positive and finite" in errors[0]
+
+    def test_too_few_steps_names_sigma_and_final_time(self, capsys):
+        # the 2C probe of the first composite gets 2 steps at tf 0.02
+        code, out, err = run_cli(capsys, "sigma-table", "--tf", "0.02")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "sigma=" in errors[0] and "tf=0.02 give 2 steps" in errors[0]
 
     def test_too_many_steps_is_an_error(self, capsys, no_stepping):
         code, out, err = run_cli(capsys, "sigma-table", "--tf", "1e300")

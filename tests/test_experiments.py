@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from essprk import experiments, integrator
 from essprk.errors import DomainError, EssprkError, NonFiniteState
 from essprk.experiments import (
+    TV_TOL,
     BurgersGrid,
     burgers_rhs,
     convergence_slope,
@@ -25,12 +26,17 @@ from essprk.experiments import (
     vdp_single_convergence,
 )
 from essprk.integrator import IVP, composite_from_entry, rk_step, run_single
-from essprk.methods import dop853, lookup
+from essprk.methods import catalog, dop853, lookup
 from essprk.optimizer import perturbation_pair_tableaux
 from essprk.order_conditions import classical_order
+from essprk.ssp import ssp_coefficient
 from essprk.tableau import emit_tableau, parse_tableau
 
 from conftest import run_python
+
+# square wave over one bisection's final time, continuous profile past the
+# shock time
+TV_RUNS = (("square_wave", 0.6), ("continuous", 1.62))
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +255,19 @@ class TestRunTvd:
         with pytest.raises(DomainError, match="final time"):
             run_tvd_single(scheme_442.main, continuous_grid, 0.5, value)
 
+    def test_too_few_composite_steps_name_sigma_and_final_time(
+        self, scheme_442, continuous_grid
+    ):
+        with pytest.raises(DomainError, match="sigma=50.0 and tf=0.01 give 1 step;"):
+            run_tvd(scheme_442, continuous_grid, 50.0, 0.01)
+        with pytest.raises(DomainError, match="tf=0.01 give 1 step;"):
+            experiments._monotone_at(scheme_442, continuous_grid, 50.0, 0.01)
+        report = run_tvd_single(scheme_442.main, continuous_grid, 50.0, 0.01)
+        assert report.tv_series.size == 2
+        # tf / dt underflows to 0 steps, too few even for one method
+        with pytest.raises(DomainError, match="give 0 steps; a run needs at least 1"):
+            run_tvd_single(scheme_442.main, continuous_grid, 1e300, 5e-324)
+
     def test_infinite_final_time_stops_the_bisection(self, scheme_442):
         grid = BurgersGrid(m=50, initial_profile="square_wave")
         with pytest.raises(DomainError, match="final time"):
@@ -363,6 +382,78 @@ class TestMaxSigma:
         object.__setattr__(forged, "coefficient", 30.0)
         with pytest.raises(EssprkError, match="half the SSP coefficient"):
             max_tvd_sigma(forged, square_grid, 0.6)
+
+
+def proven_ratio(scheme):
+    return min(
+        ssp_coefficient(t).coefficient
+        for t in (scheme.start, scheme.main, scheme.stop)
+    )
+
+
+class NegativeEntryGrid(BurgersGrid):
+    """Continuous profile with one cell below zero."""
+
+    def initial_state(self):
+        u = super().initial_state()
+        u[0] = -0.01
+        return u
+
+
+COMPOSITES = [e.label for e in catalog() if e.scheme is not None]
+
+
+class TestProvenRatio:
+    """Probes at or below the proven ratio R are settled without stepping."""
+
+    @pytest.mark.parametrize("label", COMPOSITES)
+    def test_settled_probes_are_monotone_when_stepped(self, label):
+        # the stepped oracle beside the theorem, on runs max_tvd_sigma skips
+        scheme = composite_from_entry(lookup(label))
+        R = proven_ratio(scheme)
+        runs = [
+            (BurgersGrid(m=200, initial_profile=profile), sigma, tf)
+            for profile, tf in TV_RUNS
+            for sigma in (0.5 * R, R)
+        ]
+        runs.append((BurgersGrid(m=4000, initial_profile="square_wave"), R, 0.6))
+        for grid, sigma, tf in runs:
+            report = run_tvd(scheme, grid, sigma, tf)
+            assert report.monotone, (grid, sigma)
+            assert report.max_increase <= TV_TOL, (grid, sigma)
+
+    @pytest.mark.parametrize("label", sorted(SIGMA_TABLE))
+    def test_bisection_steps_only_probes_above_the_proven_ratio(
+        self, label, square_grid, monkeypatch
+    ):
+        scheme = composite_from_entry(lookup(label))
+        probes = []
+        stepped = experiments._monotone_at
+
+        def recorded(scheme, grid, sigma, tf):
+            probes.append(sigma)
+            return stepped(scheme, grid, sigma, tf)
+
+        monkeypatch.setattr(experiments, "_monotone_at", recorded)
+        assert max_tvd_sigma(scheme, square_grid, 0.6) == SIGMA_TABLE[label]
+        assert probes
+        assert min(probes) > proven_ratio(scheme)
+
+    def test_negative_data_step_the_half_coefficient_end(
+        self, scheme_442, monkeypatch
+    ):
+        probes = []
+
+        def recorded(scheme, grid, sigma, tf):
+            probes.append(sigma)
+            return False
+
+        monkeypatch.setattr(experiments, "_monotone_at", recorded)
+        grid = NegativeEntryGrid()
+        assert np.min(grid.initial_state()) < 0.0
+        with pytest.raises(EssprkError, match="half the SSP coefficient"):
+            max_tvd_sigma(scheme_442, grid, 1.62)
+        assert probes == [0.5 * scheme_442.coefficient]
 
 
 class TestReferenceSolution:
