@@ -265,8 +265,14 @@ def max_tvd_sigma(
     Probes above R are observed: the verdict of :func:`run_tvd` at default
     tolerance, stopped at the first increase or blow-up.  The bisection
     ends once the bracket is no wider than ``tol`` or its midpoint rounds
-    to an endpoint; ``tol`` must be finite and nonnegative.
+    to an endpoint; ``tol`` must be finite and nonnegative.  A scheme
+    whose coefficient is not positive has no bracket and raises before
+    any probe.
     """
+    # with C <= 0 the bracket collapses to [0, 0], which the theorem would
+    # settle without a single run
+    if not scheme.coefficient > 0.0:
+        raise EssprkError("no positive SSP coefficient to bracket")
     nonnegative = np.min(grid.initial_state()) >= 0.0
     tableaux = (scheme.start, scheme.main, scheme.stop) if nonnegative else ()
     proven = min((ssp_coefficient(t).coefficient for t in tableaux), default=0.0)

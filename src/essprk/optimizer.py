@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, EssprkError, OrderConditionsInfeasible
@@ -40,6 +40,7 @@ from .order_conditions import (
     _residual_jacobian,
     _starting_series,
     _trees_through,
+    _weights,
     _weights_jacobian,
     butcher_inverse,
     classical_order,
@@ -131,6 +132,11 @@ class StartStopOutcome:
     worst_residual: float
 
 
+# the most stages a search takes: above the catalog's 17, and small enough
+# that the tangents of one tableau, _pack_dim(s) * s**2 floats, stay at 4 MB
+_MAX_STAGES = 32
+
+
 def _pack_dim(s: int) -> int:
     return s * (s - 1) // 2 + s
 
@@ -157,18 +163,44 @@ def _tangents(s: int) -> tuple[np.ndarray, np.ndarray]:
     return dA, db
 
 
+def _block_diagonal(blocks, extra: int = 0) -> np.ndarray:
+    """The blocks along the diagonal of one zero array, ``extra`` zero
+    columns after them."""
+    out = np.zeros((
+        sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks) + extra
+    ))
+    i = j = 0
+    for B in blocks:
+        m, n = B.shape
+        out[i : i + m, j : j + n] = B
+        i, j = i + m, j + n
+    return out
+
+
 def _packed_weights(stages, rows=slice(None)):
     """Elementary weights on ``rows`` of the tableaux packed in x, stacked,
-    and their block-diagonal Jacobian, as functions of x."""
+    and their block-diagonal Jacobian, as functions of x.
+
+    The weights come read-only and are kept for the last x, keyed on its
+    bytes, since SLSQP evaluates the constraints and then their Jacobian
+    at one point, and may reuse the buffer of x in place.
+    """
+    last = [None, None]
 
     def weights(x):
-        return np.concatenate([
-            elementary_weights(ButcherTableau(A=A, b=b))[rows]
-            for A, b in _split(x, stages)
-        ])
+        key = x.tobytes()
+        if key != last[0]:
+            # _split builds each A strictly lower triangular, as a tableau
+            # would, and c is the tableau's own row sums
+            w = np.concatenate([
+                _weights(A, b, A.sum(axis=1))[rows] for A, b in _split(x, stages)
+            ])
+            w.flags.writeable = False
+            last[:] = key, w
+        return last[1]
 
     def jacobian(x):
-        return block_diag(*[
+        return _block_diagonal([
             _weights_jacobian(A, b, *_tangents(b.size))[rows]
             for A, b in _split(x, stages)
         ])
@@ -227,7 +259,9 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
         J = np.concatenate([dX[:, _structural(s)], drem], axis=1).T
         blocks.append(J[:, :-1])
         r_col.append(J[:, -1])
-    return np.column_stack([block_diag(*blocks), np.concatenate(r_col)])
+    out = _block_diagonal(blocks, 1)
+    out[:, -1] = np.concatenate(r_col)
+    return out
 
 
 def _main_constraints(s: int, spec: EffectiveOrderSpec):
@@ -297,7 +331,7 @@ def _max_radius_search(eq, eq_jac, stages, start, r_floor, config) -> np.ndarray
         {
             "type": "eq",
             "fun": lambda z: eq(z[:-1]),
-            "jac": lambda z: np.pad(eq_jac(z[:-1]), ((0, 0), (0, 1))),
+            "jac": lambda z: _block_diagonal([eq_jac(z[:-1])], 1),
         },
         {"type": "ineq", "fun": _margins, "jac": _margins_jacobian, "args": (stages,)},
     ]
@@ -357,10 +391,11 @@ def optimize_main(
     coefficient, so the search fits the order conditions alone (signs
     unconstrained) by least squares and reports the certified coefficient
     of whatever it finds, converged or not, rather than hunting for a
-    feasible point forever.
+    feasible point forever.  ``s`` must lie in 2 to 32, which is checked
+    before anything is allocated.
     """
-    if s < 2:
-        raise DomainError(f"need at least 2 stages, got {s}")
+    if not 2 <= s <= _MAX_STAGES:
+        raise DomainError(f"stage count must lie in 2..{_MAX_STAGES}, got {s}")
     config = config or SearchConfig()
     eq, eq_jac = _main_constraints(s, spec)
 
@@ -406,10 +441,15 @@ def optimize_start_stop(
     eliminated from the conditions and resolved from the start method
     found.  The reported ``min_radius`` is the smaller of the two
     certified SSP coefficients.  The starting method has s+1 stages and
-    the stopping method s, for a main method of s stages.
+    the stopping method s, for a main method of s stages; s+1 may not
+    exceed 32.
     """
     config = config or SearchConfig()
     s = main.tableau.s
+    if s + 1 > _MAX_STAGES:
+        raise DomainError(
+            f"a {s + 1}-stage start method exceeds the {_MAX_STAGES}-stage cap"
+        )
     w_main = elementary_weights(main.tableau)
     starting, targets, gaps = _companion_conditions(
         w_main, main.spec.q, main.spec.p, config.residual_tol

@@ -216,13 +216,18 @@ def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     ``(G * b).sum(axis=1)`` over the stacked stage vectors G, so the
     summation order is fixed by numpy, not by the BLAS kernel.
     """
-    A, b = tableau.A, tableau.b
-    # stage vectors by tree; A times the all-ones vector is the stored c
-    g = [None, None, tableau.c]
+    return _frozen(_weights(tableau.A, tableau.b, tableau.c))
+
+
+def _weights(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The weights of :func:`elementary_weights` from a strictly lower
+    triangular A, its weights b and its row sums c, with no tableau built."""
+    # stage vectors by tree; A times the all-ones vector is c
+    g = [None, None, c]
     for left, right in _STAGES[3:]:
         g.append((A * g[left]).sum(axis=1) if right is None else g[left] * g[right])
     G = np.array(g[2:])
-    return _frozen(np.concatenate(([1.0, b.sum()], (G * b).sum(axis=1))))
+    return np.concatenate(([1.0, b.sum()], (G * b).sum(axis=1)))
 
 
 def _weights_jacobian(A, b, dA, db) -> np.ndarray:

@@ -316,6 +316,28 @@ class TestOptimize:
         assert "Traceback" not in err
 
 
+    def test_huge_stage_count_is_refused_before_allocating(self, tmp_path):
+        # the child caps its own address space, so an allocation that gets
+        # past the stage check fails there and cannot exhaust the host
+        out_file = tmp_path / "x.json"
+        script = (
+            "import resource, sys\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 2 << 30\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    cap = min(cap, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from essprk.cli import main\n"
+            "sys.exit(main(['optimize', '--s', '100000', '--q', '3', '--p', '2',\n"
+            f"    '--restarts', '1', '--out', {str(out_file)!r}]))\n"
+        )
+        proc = run_python(script, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_file.exists()
+
+
 class TestCatalogCommand:
     def test_lists_every_entry(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")

@@ -383,6 +383,25 @@ class TestMaxSigma:
         with pytest.raises(EssprkError, match="half the SSP coefficient"):
             max_tvd_sigma(forged, square_grid, 0.6)
 
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0, float("nan")])
+    def test_no_positive_coefficient_steps_nothing(
+        self, coefficient, scheme_432, square_grid, monkeypatch
+    ):
+        import dataclasses
+
+        # C = 0 would bracket [0, 0], which the theorem alone would settle
+        forged = object.__new__(type(scheme_432))
+        for f in dataclasses.fields(scheme_432):
+            object.__setattr__(forged, f.name, getattr(scheme_432, f.name))
+        object.__setattr__(forged, "coefficient", coefficient)
+        probes = []
+        monkeypatch.setattr(
+            experiments, "_monotone_at", lambda *args: probes.append(args)
+        )
+        with pytest.raises(EssprkError, match="no positive SSP coefficient"):
+            max_tvd_sigma(forged, square_grid, 0.6)
+        assert probes == []
+
 
 def proven_ratio(scheme):
     return min(

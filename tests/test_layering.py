@@ -3,7 +3,9 @@
 The optimizer alone owns the layout that packs tableaux into a vector: the
 packing helpers and the weights routine built on them are defined in
 ``optimizer.py`` and imported by no other module, so the tree algebra and
-the experiments never see the layout.  ``CompositeScheme`` alone verifies
+the experiments never see the layout.  The weight recursion they call is
+the tree algebra's own, shared with the optimizer alone, and every
+block-diagonal Jacobian is placed by hand, not by ``block_diag``.  ``CompositeScheme`` alone verifies
 a start/main/stop triple, so only ``integrator.py`` imports the check.
 The experiments build no method: the optimizer fits the perturbation
 pair, and ``methods.py`` alone reads the package's data files.
@@ -49,6 +51,21 @@ def test_defined_only_in_the_optimizer(name):
 @pytest.mark.parametrize("name", PACKING)
 def test_imported_by_no_module(name):
     assert [m for m, tree in modules().items() if name in imported(tree)] == []
+
+
+def test_the_weight_recursion_is_shared_with_the_optimizer_only():
+    # the search calls it on unpacked (A, b) without building a tableau
+    trees = modules().items()
+    assert [m for m, tree in trees if "_weights" in defined(tree)] == [
+        "order_conditions.py"
+    ]
+    assert [m for m, tree in trees if "_weights" in imported(tree)] == [
+        "optimizer.py"
+    ]
+
+
+def test_no_module_imports_block_diag():
+    assert [m for m, tree in modules().items() if "block_diag" in imported(tree)] == []
 
 
 def test_only_the_integrator_imports_the_companion_check():

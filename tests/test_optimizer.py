@@ -6,6 +6,7 @@ re-runs the headline recoveries at full precision.
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from essprk import optimizer
 from essprk.errors import DomainError, OrderConditionsInfeasible
@@ -17,6 +18,7 @@ from essprk.optimizer import (
     _main_constraints,
     _margins,
     _margins_jacobian,
+    _max_radius_search,
     _pack_dim,
     _packed_weights,
     _split,
@@ -124,6 +126,10 @@ class TestMainSearch:
         with pytest.raises(DomainError):
             optimize_main(1, EffectiveOrderSpec(3, 2))
 
+    def test_stage_count_capped(self):
+        with pytest.raises(DomainError, match="2..32"):
+            optimize_main(33, EffectiveOrderSpec(3, 2))
+
 
 class TestStartStopSearch:
     def test_companions_for_classical_method(self, ssprk33):
@@ -135,6 +141,16 @@ class TestStartStopSearch:
         assert out.min_radius >= main.ssp.coefficient - 1e-3
         assert out.worst_residual <= 1e-10
         assert out.starting.free == ()
+
+    def test_start_method_stage_count_capped(self):
+        # a 32-stage main would need a 33-stage start method
+        s = 32
+        main = wrap(
+            ButcherTableau(A=np.zeros((s, s)), b=np.full(s, 1.0 / s)),
+            EffectiveOrderSpec(3, 2),
+        )
+        with pytest.raises(DomainError, match="32-stage cap"):
+            optimize_start_stop(main)
 
     def test_order_five_rejected(self, rk4):
         main = wrap(rk4, EffectiveOrderSpec(5, 4))
@@ -259,3 +275,130 @@ class TestOneFormulation:
         out = optimize_start_stop(main, SearchConfig(restarts=1, seed=0))
         # construction runs check_companions and raises on a miss
         CompositeScheme(start=out.start, main=main.tableau, stop=out.stop, q=3)
+
+
+def random_point(stages, seed):
+    n = sum(_pack_dim(s) for s in stages)
+    return np.random.default_rng(seed).uniform(-0.5, 1.0, n)
+
+
+def margins_jacobian_by_block_diag(z, stages):
+    """:func:`_margins_jacobian` as assembled with ``block_diag``."""
+    r = z[-1]
+    blocks, r_col = [], []
+    for A, b in _split(z[:-1], stages):
+        s = b.size
+        dA, db = _tangents(s)
+        X, _ = optimizer._transformed(A, b, r)
+        M_inv = optimizer.solve_triangular(
+            np.eye(s) + r * A, np.eye(s), lower=True, unit_diagonal=True,
+            check_finite=False,
+        )
+        dK = np.concatenate([dA, db[:, None, :]], axis=1)
+        dX = np.concatenate([(dK - r * (X @ dA)) @ M_inv, [-X @ A @ M_inv]])
+        drem = -r * dX.sum(axis=2)
+        drem[-1] -= X.sum(axis=1)
+        J = np.concatenate([dX[:, optimizer._structural(s)], drem], axis=1).T
+        blocks.append(J[:, :-1])
+        r_col.append(J[:, -1])
+    return np.column_stack([block_diag(*blocks), np.concatenate(r_col)])
+
+
+CALLBACK_SHAPES = [([4], slice(None)), ([5, 4], slice(None)), ([4], slice(1, 9))]
+
+
+class TestCallbacksBitForBit:
+    """Each constraint callback gives the bytes of its formula written with
+    tableaux, ``block_diag`` and ``np.pad``, so SLSQP sees the same numbers."""
+
+    @pytest.mark.parametrize("stages,rows", CALLBACK_SHAPES)
+    def test_packed_weights(self, stages, rows):
+        weights, jacobian = _packed_weights(stages, rows)
+        x = random_point(stages, len(stages))
+        split = _split(x, stages)
+        expected = np.concatenate(
+            [elementary_weights(ButcherTableau(A=A, b=b))[rows] for A, b in split]
+        )
+        assert weights(x).tobytes() == expected.tobytes()
+        expected = block_diag(
+            *[_weights_jacobian(A, b, *_tangents(b.size))[rows] for A, b in split]
+        )
+        assert jacobian(x).shape == expected.shape
+        assert jacobian(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("stages", [[4], [5, 4]])
+    @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])
+    def test_margins_jacobian(self, stages, r):
+        z = np.append(random_point(stages, sum(stages)), r)
+        expected = margins_jacobian_by_block_diag(z, stages)
+        assert _margins_jacobian(z, stages).shape == expected.shape
+        assert _margins_jacobian(z, stages).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("stages", [[4], [5, 4]])
+    @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])
+    def test_widened_equality_jacobian(self, stages, r, monkeypatch):
+        # stand in for SLSQP: keep the constraints the search hands it
+        seen = {}
+
+        def minimize(*args, constraints, **kwargs):
+            seen["cons"] = constraints
+            raise StopIteration
+
+        monkeypatch.setattr(optimizer, "minimize", minimize)
+        weights, jacobian = _packed_weights(stages, slice(1, 9))
+        x = random_point(stages, len(stages))
+        with pytest.raises(StopIteration):
+            _max_radius_search(weights, jacobian, stages, lambda k: x, 0.0, COARSE)
+        z = np.append(x, r)
+        widened = seen["cons"][0]["jac"](z)
+        expected = np.pad(jacobian(z[:-1]), ((0, 0), (0, 1)))
+        assert widened.shape == expected.shape
+        assert widened.tobytes() == expected.tobytes()
+
+
+class TestWeightsOncePerPoint:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        weights = optimizer._weights
+
+        def counted(*args):
+            calls.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(optimizer, "_weights", counted)
+        return calls
+
+    def test_main_constraints_then_jacobian(self, calls):
+        fun, jac = _main_constraints(4, EffectiveOrderSpec(3, 2))
+        x = random_point([4], 0)
+        fun(x)
+        jac(x)
+        assert len(calls) == 1
+
+    def test_start_stop_constraints_then_jacobian(self, calls):
+        main = lookup("ESSPRK(3,3,2)").main
+        _, targets, gaps = _companion_conditions(elementary_weights(main), 3, 2)
+        stages = [4, 3]
+        fun, jac = _start_stop_constraints(targets, gaps, stages)
+        x = random_point(stages, 0)
+        fun(x)
+        jac(x)
+        fun(x)
+        assert len(calls) == 2  # one per tableau
+
+    def test_point_changed_in_place(self):
+        spec = EffectiveOrderSpec(4, 2)
+        fun, _ = _main_constraints(4, spec)
+        x, y = random_point([4], 1), random_point([4], 2)
+        first = fun(x)
+        x[:] = y
+        assert np.array_equal(fun(x), _main_constraints(4, spec)[0](y))
+        assert not np.array_equal(fun(x), first)
+
+    def test_weights_are_read_only(self):
+        weights, _ = _packed_weights([4])
+        w = weights(random_point([4], 3))
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
