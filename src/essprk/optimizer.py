@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, EssprkError, OrderConditionsInfeasible
@@ -48,8 +47,8 @@ from .order_conditions import (
     elementary_weights,
     resolve_free_weights,
 )
-from .ssp import SSPResult, _transformed, ssp_coefficient
-from .tableau import ButcherTableau
+from .ssp import SSPResult, _back_substitute, _transformed, ssp_coefficient
+from .tableau import MAX_STAGES, ButcherTableau
 
 __all__ = [
     "SearchConfig",
@@ -130,11 +129,6 @@ class StartStopOutcome:
     min_radius: float
     success: bool
     worst_residual: float
-
-
-# the most stages a search takes: above the catalog's 17, and small enough
-# that the tangents of one tableau, _pack_dim(s) * s**2 floats, stay at 4 MB
-_MAX_STAGES = 32
 
 
 def _pack_dim(s: int) -> int:
@@ -238,8 +232,9 @@ def _margins(z: np.ndarray, stages) -> np.ndarray:
 def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
     """Jacobian of :func:`_margins` in z, the radius column last.
 
-    With K = [A; b], M = I + rA and X = K M^-1, a step (dA, dK) moves X by
-    (dK - X r dA) M^-1 and a step in r moves it by -X A M^-1; the leftover
+    The certificate's back substitution in forward mode: X(I + rA) = K, with
+    K = [A; b], gives dX(I + rA) = dK - X d(rA), solved at once for each
+    packed step (dK - r X dA) and the radius step (-X A); the leftover
     column 1 - r X 1 follows.
     """
     r = z[-1]
@@ -248,12 +243,8 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
         s = b.size
         dA, db = _tangents(s)
         X, _ = _transformed(A, b, r)
-        M_inv = solve_triangular(
-            np.eye(s) + r * A, np.eye(s), lower=True, unit_diagonal=True,
-            check_finite=False,
-        )
         dK = np.concatenate([dA, db[:, None, :]], axis=1)
-        dX = np.concatenate([(dK - r * (X @ dA)) @ M_inv, [-X @ A @ M_inv]])
+        dX = _back_substitute(np.concatenate([dK - r * (X @ dA), [-X @ A]]), r * A)
         drem = -r * dX.sum(axis=2)
         drem[-1] -= X.sum(axis=1)
         J = np.concatenate([dX[:, _structural(s)], drem], axis=1).T
@@ -394,8 +385,8 @@ def optimize_main(
     feasible point forever.  ``s`` must lie in 2 to 32, which is checked
     before anything is allocated.
     """
-    if not 2 <= s <= _MAX_STAGES:
-        raise DomainError(f"stage count must lie in 2..{_MAX_STAGES}, got {s}")
+    if not 2 <= s <= MAX_STAGES:
+        raise DomainError(f"stage count must lie in 2..{MAX_STAGES}, got {s}")
     config = config or SearchConfig()
     eq, eq_jac = _main_constraints(s, spec)
 
@@ -446,9 +437,9 @@ def optimize_start_stop(
     """
     config = config or SearchConfig()
     s = main.tableau.s
-    if s + 1 > _MAX_STAGES:
+    if s + 1 > MAX_STAGES:
         raise DomainError(
-            f"a {s + 1}-stage start method exceeds the {_MAX_STAGES}-stage cap"
+            f"a {s + 1}-stage start method exceeds the {MAX_STAGES}-stage cap"
         )
     w_main = elementary_weights(main.tableau)
     starting, targets, gaps = _companion_conditions(

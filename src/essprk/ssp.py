@@ -16,7 +16,8 @@ a back substitution whose sums numpy orders, so that its bits do not depend
 on the BLAS kernel, certifies both ends of the final bracket.  A probe
 whose verdict differs from the exact one, as on non-finite values it may,
 leaves an end that fails that check, and the bisection reruns with exact
-probes.
+probes.  The search differentiates the transform with that same back
+substitution, run on tangent right-hand sides.
 """
 
 from __future__ import annotations
@@ -87,20 +88,25 @@ class SSPResult:
             raise ValueError("SSP coefficient cannot be negative")
 
 
+def _back_substitute(K: np.ndarray, rA: np.ndarray) -> np.ndarray:
+    """Solve X(I + rA) = K in place over K's last two axes, rA strictly lower
+    triangular, by back substitution over the columns, last first:
+    X[..., j] = K[..., j] - sum over k > j of X[..., k] (rA)[k, j], each sum
+    numpy's ``sum`` along a row.  Runs under the caller's ``np.errstate``.
+    """
+    for j in range(rA.shape[0] - 2, -1, -1):
+        K[..., j] -= (K[..., j + 1:] * rA[j + 1:, j]).sum(axis=-1)
+    return K
+
+
 def _transformed(A: np.ndarray, b: np.ndarray, r: float):
     """Raw transform: X with X(I + rA) = [A; b], and the leftover column.
 
-    I + rA is unit lower triangular, so X comes by back substitution over
-    the columns, last first: X[:, j] = [A; b][:, j] - sum over k > j of
-    X[:, k] (rA)[k, j], each sum numpy's ``sum`` along a row.  rA is formed
-    first, so X(0) is [A; b] exactly.  Overflow and NaN pass through,
-    silently, to the finiteness check of abs_monotonic.
+    rA is formed first, so X(0) is [A; b] exactly.  Overflow and NaN pass
+    through, silently, to the finiteness check of abs_monotonic.
     """
-    X = np.vstack([A, b])
     with np.errstate(over="ignore", invalid="ignore"):
-        rA = r * A
-        for j in range(b.size - 2, -1, -1):
-            X[:, j] -= (X[:, j + 1:] * rA[j + 1:, j]).sum(axis=1)
+        X = _back_substitute(np.vstack([A, b]), r * A)
         rem = 1.0 - r * X.sum(axis=1)
     return X, rem
 
@@ -110,9 +116,8 @@ def abs_monotonic(
 ) -> MonotonicityReport:
     """Test nonnegativity of the transformed coefficients at radius ``r``.
 
-    For explicit methods I + rA is unit lower triangular, so the transform
-    is a forward substitution and never singular; non-finite input still
-    yields an infeasible report rather than an exception.
+    I + rA is unit lower triangular, so the back substitution never divides;
+    non-finite input yields an infeasible report rather than an exception.
     """
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DomainError, TableauParseError
 
 ROW_SUM_TOL = 1e-13
+# the most stages a method file or a search takes: above the catalog's 17, and
+# small enough that one tableau's tangents, s**2 (s**2 + s) / 2 floats, are 4 MB
+MAX_STAGES = 32
 
 
 def _frozen(a, shape=None):
@@ -158,8 +161,8 @@ def _stage_count(doc) -> int:
     if "s" not in doc:
         raise TableauParseError("field 's' missing")
     s = doc["s"]
-    if not _is_int(s) or s < 1:
-        raise TableauParseError("field 's' must be a positive integer")
+    if not _is_int(s) or not 1 <= s <= MAX_STAGES:
+        raise TableauParseError(f"field 's' must be an integer in 1..{MAX_STAGES}")
     return s
 
 

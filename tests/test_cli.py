@@ -38,6 +38,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped_cli(*argv):
+    """Run the CLI in a child that caps its own address space at 2 GiB, so
+    an allocation that gets past a size check fails there and cannot
+    exhaust the host."""
+    script = (
+        "import resource, sys\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2 << 30\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    cap = min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from essprk.cli import main\n"
+        f"sys.exit(main({list(argv)!r}))\n"
+    )
+    return run_python(script, timeout=120)
+
+
 @pytest.fixture()
 def negative_weight_file(tmp_path):
     tableau = ButcherTableau(
@@ -209,6 +226,22 @@ class TestMalformedFiles:
                 assert err == f"error: {info.value}\n"
 
 
+    @pytest.mark.parametrize("command", ["check", "ssp"])
+    def test_huge_stage_count_is_refused_before_allocating(self, command, tmp_path):
+        # a well-formed 1000-stage chain, 6 MB
+        s = 1000
+        A = np.eye(s, k=-1)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            {"label": "chain", "s": s, "A": A.tolist(), "b": A[-1].tolist(),
+             "q": None, "p": None}
+        ))
+        proc = run_capped_cli(command, str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_each_file_is_decoded_once(self, capsys, tmp_path, monkeypatch):
         documents = {
             "tableau": (_tableau_doc(label="heun"), 0),
@@ -317,21 +350,11 @@ class TestOptimize:
 
 
     def test_huge_stage_count_is_refused_before_allocating(self, tmp_path):
-        # the child caps its own address space, so an allocation that gets
-        # past the stage check fails there and cannot exhaust the host
         out_file = tmp_path / "x.json"
-        script = (
-            "import resource, sys\n"
-            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-            "cap = 2 << 30\n"
-            "if hard != resource.RLIM_INFINITY:\n"
-            "    cap = min(cap, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
-            "from essprk.cli import main\n"
-            "sys.exit(main(['optimize', '--s', '100000', '--q', '3', '--p', '2',\n"
-            f"    '--restarts', '1', '--out', {str(out_file)!r}]))\n"
+        proc = run_capped_cli(
+            "optimize", "--s", "100000", "--q", "3", "--p", "2",
+            "--restarts", "1", "--out", str(out_file),
         )
-        proc = run_python(script, timeout=120)
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -5,8 +5,11 @@ packing helpers and the weights routine built on them are defined in
 ``optimizer.py`` and imported by no other module, so the tree algebra and
 the experiments never see the layout.  The weight recursion they call is
 the tree algebra's own, shared with the optimizer alone, and every
-block-diagonal Jacobian is placed by hand, not by ``block_diag``.  ``CompositeScheme`` alone verifies
-a start/main/stop triple, so only ``integrator.py`` imports the check.
+block-diagonal Jacobian is placed by hand, not by ``block_diag``.  The SSP
+transform's back substitution is defined once, in ``ssp.py``: the
+certificate and the search's margin Jacobian both run it, so no module
+needs ``scipy.linalg``.  ``CompositeScheme`` alone verifies a
+start/main/stop triple, so only ``integrator.py`` imports the check.
 The experiments build no method: the optimizer fits the perturbation
 pair, and ``methods.py`` alone reads the package's data files.
 """
@@ -66,6 +69,27 @@ def test_the_weight_recursion_is_shared_with_the_optimizer_only():
 
 def test_no_module_imports_block_diag():
     assert [m for m, tree in modules().items() if "block_diag" in imported(tree)] == []
+
+
+def test_no_module_imports_scipy_linalg():
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+            elif isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+
+    assert [
+        m
+        for m, tree in modules().items()
+        if any(n.startswith("scipy.linalg") for n in names(tree))
+    ] == []
+
+
+def test_the_back_substitution_is_defined_only_in_ssp():
+    assert [
+        m for m, tree in modules().items() if "_back_substitute" in defined(tree)
+    ] == ["ssp.py"]
 
 
 def test_only_the_integrator_imports_the_companion_check():

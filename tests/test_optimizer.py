@@ -6,7 +6,7 @@ re-runs the headline recoveries at full precision.
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 from essprk import optimizer
 from essprk.errors import DomainError, OrderConditionsInfeasible
@@ -282,15 +282,18 @@ def random_point(stages, seed):
     return np.random.default_rng(seed).uniform(-0.5, 1.0, n)
 
 
-def margins_jacobian_by_block_diag(z, stages):
-    """:func:`_margins_jacobian` as assembled with ``block_diag``."""
+def margins_jacobian_closed_form(z, stages):
+    """:func:`_margins_jacobian` in closed form: with K = [A; b],
+    M = I + rA and X = K M^-1, a step (dA, dK) moves X by (dK - X r dA) M^-1
+    and a step in r moves it by -X A M^-1, M^-1 from a triangular solve;
+    the blocks are assembled with ``block_diag``."""
     r = z[-1]
     blocks, r_col = [], []
     for A, b in _split(z[:-1], stages):
         s = b.size
         dA, db = _tangents(s)
         X, _ = optimizer._transformed(A, b, r)
-        M_inv = optimizer.solve_triangular(
+        M_inv = solve_triangular(
             np.eye(s) + r * A, np.eye(s), lower=True, unit_diagonal=True,
             check_finite=False,
         )
@@ -308,8 +311,11 @@ CALLBACK_SHAPES = [([4], slice(None)), ([5, 4], slice(None)), ([4], slice(1, 9))
 
 
 class TestCallbacksBitForBit:
-    """Each constraint callback gives the bytes of its formula written with
-    tableaux, ``block_diag`` and ``np.pad``, so SLSQP sees the same numbers."""
+    """The weight callbacks and the widened equality Jacobian give the bytes
+    of their formulas written with tableaux, ``block_diag`` and ``np.pad``,
+    so SLSQP sees the same numbers.  The margin Jacobian runs the
+    certificate's back substitution on tangent right-hand sides; it matches
+    its closed form, an explicit triangular inverse, to rounding."""
 
     @pytest.mark.parametrize("stages,rows", CALLBACK_SHAPES)
     def test_packed_weights(self, stages, rows):
@@ -326,13 +332,16 @@ class TestCallbacksBitForBit:
         assert jacobian(x).shape == expected.shape
         assert jacobian(x).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("stages", [[4], [5, 4]])
-    @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("stages", [[4], [5, 4], [2], [6, 5], [17]])
+    @pytest.mark.parametrize("r", [0.0, 0.7, 3.0, "2s"])
     def test_margins_jacobian(self, stages, r):
+        # "2s" is the top of the search's radius range
+        r = 2.0 * min(stages) if r == "2s" else r
         z = np.append(random_point(stages, sum(stages)), r)
-        expected = margins_jacobian_by_block_diag(z, stages)
-        assert _margins_jacobian(z, stages).shape == expected.shape
-        assert _margins_jacobian(z, stages).tobytes() == expected.tobytes()
+        expected = margins_jacobian_closed_form(z, stages)
+        found = _margins_jacobian(z, stages)
+        assert found.shape == expected.shape
+        assert np.max(np.abs(found - expected)) <= 4e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("stages", [[4], [5, 4]])
     @pytest.mark.parametrize("r", [0.0, 0.7, 3.0])

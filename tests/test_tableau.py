@@ -11,6 +11,7 @@ from scipy.linalg import solve_triangular
 from essprk.errors import DomainError, TableauParseError
 from essprk.methods import family_n2p1
 from essprk.tableau import (
+    MAX_STAGES,
     ButcherTableau,
     ShuOsherForm,
     emit_shu_osher,
@@ -324,6 +325,19 @@ class TestParserTotality:
         for form, text in MALFORMED_DOCUMENTS[kind]:
             with pytest.raises(TableauParseError, match=match):
                 PARSERS[form](text)
+
+    def test_stage_count_capped_before_any_field_is_read(self):
+        # no field is present, so only the stage count can be refused
+        for parse in PARSERS.values():
+            with pytest.raises(TableauParseError, match=r"'s' .* 1\.\.32"):
+                parse(json.dumps({"s": MAX_STAGES + 1}))
+        s = MAX_STAGES
+        tableau = ButcherTableau(A=np.eye(s, k=-1), b=np.full(s, 1.0 / s))
+        assert parse_tableau(emit_tableau(tableau)).s == s
+        form = ShuOsherForm(
+            v=np.eye(s + 1)[0], alpha=np.eye(s + 1, s, k=-1), beta=np.zeros((s + 1, s))
+        )
+        assert parse_shu_osher(emit_shu_osher(form)).s == s
 
     def test_undecodable_bytes_rejected(self):
         for parse in PARSERS.values():
