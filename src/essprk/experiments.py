@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterator
 
@@ -143,18 +143,26 @@ def total_variation(u: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TVDReport:
-    """Per-step total variation of one composite run at step ratio sigma."""
+    """Per-step total variation of one composite run at step ratio sigma.
+
+    ``max_increase`` (the largest step-to-step rise) and ``monotone`` (no
+    rise above ``TV_TOL``; a NaN rise fails) are worked out from
+    ``tv_series``, a read-only copy of the caller's series, not passed in.
+    """
 
     sigma: float
     tv_series: np.ndarray
-    monotone: bool
-    max_increase: float
     final_time: float
+    monotone: bool = field(init=False)
+    max_increase: float = field(init=False)
 
     def __post_init__(self) -> None:
-        tv = np.asarray(self.tv_series, dtype=float)
+        tv = np.array(self.tv_series, dtype=float)
         tv.flags.writeable = False
         object.__setattr__(self, "tv_series", tv)
+        max_increase = float(np.max(np.diff(tv)))
+        object.__setattr__(self, "monotone", bool(max_increase <= TV_TOL))
+        object.__setattr__(self, "max_increase", max_increase)
 
 
 def _burgers_ivp(grid: BurgersGrid, sigma: float, tf: float, least: int = 3):
@@ -189,14 +197,7 @@ def _variations(steps) -> Iterator[float]:
 
 def _tvd_report(steps, sigma: float, ivp: IVP, n: int) -> TVDReport:
     tv = np.fromiter(_variations(steps), dtype=float, count=n + 1)
-    max_increase = float(np.max(np.diff(tv)))
-    return TVDReport(
-        sigma=sigma,
-        tv_series=tv,
-        monotone=bool(max_increase <= TV_TOL),
-        max_increase=max_increase,
-        final_time=ivp.tf,
-    )
+    return TVDReport(sigma, tv, ivp.tf)
 
 
 def run_tvd(

@@ -110,7 +110,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("steps", "times", "states"):
-            a = np.asarray(getattr(self, name))
+            a = np.array(getattr(self, name))
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

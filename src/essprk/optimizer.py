@@ -47,7 +47,13 @@ from .order_conditions import (
     elementary_weights,
     resolve_free_weights,
 )
-from .ssp import SSPResult, _back_substitute, _transformed, ssp_coefficient
+from .ssp import (
+    SSPResult,
+    _back_substitute,
+    _transformed,
+    abs_monotonic,
+    ssp_coefficient,
+)
 from .tableau import MAX_STAGES, ButcherTableau
 
 __all__ = [
@@ -406,12 +412,7 @@ def optimize_main(
     if not converged:
         # only order five gets here: no method of this effective order
         # exists at this stage count, so the attainable coefficient is zero
-        result = SSPResult(
-            coefficient=0.0,
-            effective_coefficient=0.0,
-            bracket=(0.0, 0.0),
-            certificate=result.certificate,
-        )
+        result = SSPResult((0.0, 0.0), abs_monotonic(tableau, 0.0))
     return MainSearchOutcome(
         tableau=tableau,
         ssp=result,

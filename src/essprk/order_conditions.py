@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -106,6 +106,8 @@ _EXACT = _frozen(np.r_[1.0, 1.0 / TREE_DENSITY[1:]])
 _IDENTITY = _frozen(np.eye(N_TREES)[0])
 
 DEFAULT_ORDER_TOL = 1e-10
+# a stage defect no larger than this in every component reads as zero
+_DEFECT_TOL = 1e-12
 
 
 def _trees_through(q: int) -> int:
@@ -642,27 +644,40 @@ class BarrierWitness:
     ``stage_defect`` is c^2/2 - A c, the residual of the stage-order-two
     identity.  With all-positive weights, effective order five forces both
     moments below to agree with a square, which the strict Jensen inequality
-    forbids unless the defect vanishes identically.  ``conclusive`` is True
-    when the defect is nonzero, so order five is excluded; a vanishing
-    defect leaves the test silent.
+    forbids unless the defect vanishes identically.  The verdict is worked
+    out from this evidence, not passed in: ``conclusive`` is True when some
+    component of the defect exceeds 1e-12 in size or is NaN, so order five
+    is excluded, and a vanishing defect leaves the test silent;
+    ``jensen_gap`` is the mean squared minus the mean of squares, and
+    ``note`` says which case holds.
     """
 
     stage_defect: np.ndarray
     weighted_mean: float
     weighted_square: float
-    jensen_gap: float
-    conclusive: bool
-    note: str
+    jensen_gap: float = field(init=False)
+    conclusive: bool = field(init=False)
+    note: str = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.stage_defect, dtype=float)
         v.flags.writeable = False
         object.__setattr__(self, "stage_defect", v)
+        mean = self.weighted_mean
+        conclusive = not np.max(np.abs(v)) <= _DEFECT_TOL
+        if conclusive:
+            note = (
+                "stage defect is nonzero, so these weights admit no effective "
+                "order five"
+            )
+        else:
+            note = "barrier inconclusive"
+        object.__setattr__(self, "jensen_gap", mean * mean - self.weighted_square)
+        object.__setattr__(self, "conclusive", conclusive)
+        object.__setattr__(self, "note", note)
 
 
-def order5_barrier_witness(
-    tableau: ButcherTableau, tol: float = 1e-12
-) -> BarrierWitness:
+def order5_barrier_witness(tableau: ButcherTableau) -> BarrierWitness:
     """Witness that a positive-weight tableau cannot reach effective order five.
 
     Requires every weight strictly positive.  The first stage of an explicit
@@ -676,22 +691,4 @@ def order5_barrier_witness(
         raise DomainError("barrier applies only to positive weights")
     c = tableau.c
     v = 0.5 * c * c - tableau.A @ c
-    mean = float(b @ v)
-    square = float(b @ (v * v))
-    gap = mean * mean - square
-    nonzero = not np.max(np.abs(v)) <= tol
-    if nonzero:
-        note = (
-            "stage defect is nonzero, so these weights admit no effective "
-            "order five"
-        )
-    else:
-        note = "barrier inconclusive"
-    return BarrierWitness(
-        stage_defect=v,
-        weighted_mean=mean,
-        weighted_square=square,
-        jensen_gap=gap,
-        conclusive=nonzero,
-        note=note,
-    )
+    return BarrierWitness(v, float(b @ v), float(b @ (v * v)))

@@ -23,7 +23,7 @@ substitution, run on tangent right-hand sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,43 +49,70 @@ class MonotonicityReport:
     """Feasibility of the nonnegativity test at one radius.
 
     ``coefficients`` is the transformed (s+1) x s array, ``remainder`` the
-    leftover column; both must be nonnegative (to tolerance) for
-    feasibility.  ``worst_entry`` is the most negative value found and
-    ``worst_index`` locates it: ("coefficients", row, col) or
-    ("remainder", row).
+    leftover column; the verdict is worked out from them, not passed in.
+    ``feasible`` holds when both are finite and nonnegative to
+    ``DEFAULT_ENTRY_TOL``.  ``worst_entry`` is the most negative value
+    found and ``worst_index`` locates it: ("coefficients", row, col) or
+    ("remainder", row); a non-finite entry anywhere gives -inf at
+    ("coefficients", -1, -1).
     """
 
-    feasible: bool
     radius: float
-    worst_entry: float
-    worst_index: tuple
     coefficients: np.ndarray
     remainder: np.ndarray
+    feasible: bool = field(init=False)
+    worst_entry: float = field(init=False)
+    worst_index: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("coefficients", "remainder"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        X, rem = self.coefficients, self.remainder
+        if not (np.isfinite(X).all() and np.isfinite(rem).all()):
+            worst, index = -np.inf, ("coefficients", -1, -1)
+        else:
+            ij = np.unravel_index(np.argmin(X), X.shape)
+            k = int(np.argmin(rem))
+            if X[ij] <= rem[k]:
+                worst, index = float(X[ij]), ("coefficients", int(ij[0]), int(ij[1]))
+            else:
+                worst, index = float(rem[k]), ("remainder", k)
+        object.__setattr__(self, "feasible", bool(worst >= -DEFAULT_ENTRY_TOL))
+        object.__setattr__(self, "worst_entry", worst)
+        object.__setattr__(self, "worst_index", index)
 
 
 @dataclass(frozen=True, eq=False)
 class SSPResult:
-    """SSP coefficient with its bisection bracket and feasibility certificate."""
+    """SSP coefficient worked out from its bisection bracket and certificate.
 
-    coefficient: float
-    effective_coefficient: float
+    ``coefficient`` is the bracket's lower end and ``effective_coefficient``
+    that over the stage count; neither is passed in.  The bracket must be
+    nonnegative and in order, and the certificate taken at its lower end
+    and, unless that end is zero, feasible.
+    """
+
     bracket: tuple[float, float]
     certificate: MonotonicityReport
+    coefficient: float = field(init=False)
+    effective_coefficient: float = field(init=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.bracket
-        if not (lo <= self.coefficient <= hi):
+        if not 0.0 <= lo <= hi:
+            raise ValueError(f"bracket [{lo}, {hi}] must be nonnegative and in order")
+        if self.certificate.radius != lo:
             raise ValueError(
-                f"coefficient {self.coefficient} outside bracket [{lo}, {hi}]"
+                f"certificate at radius {self.certificate.radius} is not at "
+                f"the bracket's lower end {lo}"
             )
-        if self.coefficient < 0.0:
-            raise ValueError("SSP coefficient cannot be negative")
+        if lo > 0.0 and not self.certificate.feasible:
+            raise ValueError(f"coefficient {lo} has an infeasible certificate")
+        s = self.certificate.coefficients.shape[1]
+        object.__setattr__(self, "coefficient", lo)
+        object.__setattr__(self, "effective_coefficient", lo / s)
 
 
 def _back_substitute(K: np.ndarray, rA: np.ndarray) -> np.ndarray:
@@ -111,9 +138,7 @@ def _transformed(A: np.ndarray, b: np.ndarray, r: float):
     return X, rem
 
 
-def abs_monotonic(
-    tableau: ButcherTableau, r: float, tol: float = DEFAULT_ENTRY_TOL
-) -> MonotonicityReport:
+def abs_monotonic(tableau: ButcherTableau, r: float) -> MonotonicityReport:
     """Test nonnegativity of the transformed coefficients at radius ``r``.
 
     I + rA is unit lower triangular, so the back substitution never divides;
@@ -121,32 +146,7 @@ def abs_monotonic(
     """
     if r < 0.0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    X, rem = _transformed(tableau.A, tableau.b, r)
-    if not (np.isfinite(X).all() and np.isfinite(rem).all()):
-        return MonotonicityReport(
-            feasible=False,
-            radius=r,
-            worst_entry=-np.inf,
-            worst_index=("coefficients", -1, -1),
-            coefficients=X,
-            remainder=rem,
-        )
-    ij = np.unravel_index(np.argmin(X), X.shape)
-    k = int(np.argmin(rem))
-    if X[ij] <= rem[k]:
-        worst = float(X[ij])
-        index: tuple = ("coefficients", int(ij[0]), int(ij[1]))
-    else:
-        worst = float(rem[k])
-        index = ("remainder", k)
-    return MonotonicityReport(
-        feasible=bool(worst >= -tol),
-        radius=r,
-        worst_entry=worst,
-        worst_index=index,
-        coefficients=X,
-        remainder=rem,
-    )
+    return MonotonicityReport(r, *_transformed(tableau.A, tableau.b, r))
 
 
 def _bracket(
@@ -229,8 +229,7 @@ def ssp_coefficient(
     returned bracket.  ``tol`` must be finite and nonnegative; the
     bisection also ends when its midpoint rounds to an endpoint.
     """
-    s = tableau.s
-    r_max = 2.0 * s
+    r_max = 2.0 * tableau.s
 
     def exact(r: float) -> bool:
         return abs_monotonic(tableau, r).feasible
@@ -247,9 +246,4 @@ def ssp_coefficient(
     if not confirmed:
         lo, hi = _bracket(exact, 0.0, r_max, tol) or (0.0, 0.0)
         certificate = abs_monotonic(tableau, lo)
-    return SSPResult(
-        coefficient=lo,
-        effective_coefficient=lo / s,
-        bracket=(lo, hi),
-        certificate=certificate,
-    )
+    return SSPResult((lo, hi), certificate)

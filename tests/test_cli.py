@@ -108,6 +108,14 @@ class TestCheck:
         by_label = run_cli(capsys, "check", entry.label)
         assert by_label == run_cli(capsys, "check", str(path))
 
+    def test_saturated_effective_order_note(self, capsys):
+        path = ROOT / "src" / "essprk" / "data" / "dop853.json"
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["effective_order"] == 5
+        assert "effective order is a lower bound; testing stops at five" in doc["notes"]
+
     def test_missing_target(self, capsys):
         code, _, err = run_cli(capsys, "check", "nope.json")
         assert code == 1
@@ -556,6 +564,24 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["burgers", "--scheme", "SSPRK(3,3)", "--sigma", "abc"],
+            ["burgers", "--scheme", "SSPRK(3,3)", "--sigma", "0.9", "--tf", "abc"],
+            ["sigma-table", "--tf", "abc"],
+            ["sigma-table", "--tol", "abc"],
+        ],
+        ids=["burgers-sigma", "burgers-tf", "sigma-table-tf", "sigma-table-tol"],
+    )
+    def test_non_numeric_float_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "invalid float value: 'abc'" in errors[0]
 
     def test_help_exits_cleanly(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

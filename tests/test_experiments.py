@@ -14,6 +14,7 @@ from essprk.errors import DomainError, EssprkError, NonFiniteState
 from essprk.experiments import (
     TV_TOL,
     BurgersGrid,
+    TVDReport,
     burgers_rhs,
     convergence_slope,
     dt_fe,
@@ -237,6 +238,28 @@ class TestRunTvd:
         report = run_tvd(scheme_442, continuous_grid, 0.5, 0.1)
         with pytest.raises(ValueError):
             report.tv_series[0] = 0.0
+
+    def test_verdict_from_the_series(self):
+        report = TVDReport(0.5, [1.0, 1.5, 1.25], 1.0)
+        assert report.max_increase == 0.5 and not report.monotone
+        assert TVDReport(0.5, [1.0, 1.0, 0.5], 1.0).monotone
+        assert not TVDReport(0.5, [1.0, np.nan, 0.5], 1.0).monotone
+
+    def test_callers_series_left_writable(self):
+        tv = np.array([1.0, 1.0, 0.5])
+        report = TVDReport(0.5, tv, 1.0)
+        assert tv.flags.writeable
+        tv[2] = 2.0
+        assert report.tv_series[2] == 0.5 and report.monotone
+
+    def test_blown_up_probe_is_not_monotone(self, scheme_442, square_grid):
+        # 4 steps at 1e100 times the forward Euler limit overflow at once
+        sigma = 1e100
+        tf = 3.5 * sigma * dt_fe(square_grid)
+        with pytest.raises(NonFiniteState) as info:
+            run_tvd(scheme_442, square_grid, sigma, tf)
+        assert info.value.step == 1
+        assert experiments._monotone_at(scheme_442, square_grid, sigma, tf) is False
 
     def test_bad_sigma(self, scheme_442, continuous_grid):
         with pytest.raises(DomainError, match="sigma"):

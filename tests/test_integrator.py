@@ -14,6 +14,7 @@ from essprk.errors import DomainError, NonFiniteState
 from essprk.integrator import (
     IVP,
     CompositeScheme,
+    Trajectory,
     _float_step,
     composite_from_entry,
     composite_steps,
@@ -278,6 +279,15 @@ class TestRunSingle:
         traj = run_single(forward_euler, exponential_ivp(), 1000)
         assert traj.final[0] == pytest.approx((1 + 1 / 1000) ** 1000, abs=1e-12)
         assert abs(traj.final[0] - math.e) / math.e < 0.002
+
+    def test_callers_arrays_left_writable(self):
+        states = np.zeros((2, 2))
+        traj = Trajectory(np.arange(2), np.zeros(2), states)
+        assert states.flags.writeable
+        states[1, 0] = 1.0
+        assert traj.final[0] == 0.0
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 1.0
 
     def test_observation_selection(self, ssprk33):
         traj = run_single(ssprk33, exponential_ivp(), 10, observe_at=[0, 5])

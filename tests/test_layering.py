@@ -11,13 +11,21 @@ certificate and the search's margin Jacobian both run it, so no module
 needs ``scipy.linalg``.  ``CompositeScheme`` alone verifies a
 start/main/stop triple, so only ``integrator.py`` imports the check.
 The experiments build no method: the optimizer fits the perturbation
-pair, and ``methods.py`` alone reads the package's data files.
+pair, and ``methods.py`` alone reads the package's data files.  Each
+result works out its verdict from the evidence it holds, so no verdict
+field can be passed to a constructor.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from essprk.experiments import TVDReport
+from essprk.integrator import CompositeScheme
+from essprk.order_conditions import BarrierWitness
+from essprk.ssp import MonotonicityReport, SSPResult
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "essprk"
 PACKING = ("_pack_dim", "_split", "_tangents", "_packed_weights")
@@ -131,3 +139,18 @@ def test_only_methods_reads_package_data():
         )
 
     assert [m for m, tree in modules().items() if reads(tree)] == ["methods.py"]
+
+
+VERDICTS = {
+    MonotonicityReport: {"feasible", "worst_entry", "worst_index"},
+    SSPResult: {"coefficient", "effective_coefficient"},
+    TVDReport: {"monotone", "max_increase"},
+    BarrierWitness: {"jensen_gap", "conclusive", "note"},
+    CompositeScheme: {"coefficient"},
+}
+
+
+@pytest.mark.parametrize("cls", VERDICTS, ids=lambda cls: cls.__name__)
+def test_verdicts_are_worked_out_not_passed_in(cls):
+    fields = dataclasses.fields(cls)
+    assert {f.name for f in fields if not f.init} == VERDICTS[cls]

@@ -115,6 +115,15 @@ class TestMainSearch:
         # four stages leave the deepest chain weight at zero, off by 1/120
         assert np.max(np.abs(out.residuals)) == pytest.approx(1 / 120, abs=1e-6)
 
+    def test_order_five_certificate_is_taken_at_zero(self):
+        # the coefficient is overridden to zero, so its certificate must be
+        # taken at radius zero, not where the fit happens to be feasible
+        config = SearchConfig(restarts=2, seed=1)
+        out = optimize_main(8, EffectiveOrderSpec(5, 2), config)
+        assert not out.converged
+        assert out.ssp.bracket == (0.0, 0.0)
+        assert out.ssp.coefficient == out.ssp.certificate.radius == 0.0
+
     def test_unreachable_order_raises(self):
         with pytest.raises(OrderConditionsInfeasible) as info:
             optimize_main(2, EffectiveOrderSpec(3, 2), SearchConfig(restarts=1, seed=0))

@@ -13,7 +13,7 @@ from essprk.errors import DomainError
 from essprk.methods import catalog, family_n2p1, lookup, ssprk_43
 from essprk.ssp import (
     DEFAULT_BISECTION_TOL,
-    DEFAULT_ENTRY_TOL,
+    MonotonicityReport,
     SSPResult,
     _bracket,
     abs_monotonic,
@@ -77,26 +77,23 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_ssp_coefficient(
-    tableau, tol=DEFAULT_BISECTION_TOL, entry_tol=DEFAULT_ENTRY_TOL
-):
+def reference_ssp_coefficient(tableau, tol=DEFAULT_BISECTION_TOL):
     """Oracle: bisection over [0, 2s] with a triangular solve at every probe."""
-    s = tableau.s
-    base = abs_monotonic(tableau, 0.0, entry_tol)
+    base = abs_monotonic(tableau, 0.0)
     if not base.feasible:
-        return SSPResult(0.0, 0.0, (0.0, 0.0), base)
-    r_max = 2.0 * s
-    top = abs_monotonic(tableau, r_max, entry_tol)
+        return SSPResult((0.0, 0.0), base)
+    r_max = 2.0 * tableau.s
+    top = abs_monotonic(tableau, r_max)
     if top.feasible:
-        return SSPResult(r_max, r_max / s, (r_max, r_max), top)
+        return SSPResult((r_max, r_max), top)
     lo, hi = 0.0, r_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if abs_monotonic(tableau, mid, entry_tol).feasible:
+        if abs_monotonic(tableau, mid).feasible:
             lo = mid
         else:
             hi = mid
-    return SSPResult(lo, lo / s, (lo, hi), abs_monotonic(tableau, lo, entry_tol))
+    return SSPResult((lo, hi), abs_monotonic(tableau, lo))
 
 
 def assert_matches_reference(tableau):
@@ -166,6 +163,33 @@ class TestFeasibilityReport:
         rep = abs_monotonic(ButcherTableau(A=A, b=np.array([0.5, 0.5])), 1.0)
         assert not rep.feasible
         assert rep.worst_entry == -np.inf
+
+
+class TestResultFromEvidence:
+    def test_report_verdict_from_its_arrays(self):
+        report = MonotonicityReport(0.25, [[0.5], [1.0]], [1.0, -0.25])
+        assert not report.feasible
+        assert (report.worst_entry, report.worst_index) == (-0.25, ("remainder", 1))
+        report = MonotonicityReport(0.25, [[0.5], [np.nan]], [1.0, 1.0])
+        assert not report.feasible
+        assert report.worst_entry == -np.inf
+
+    def test_coefficient_is_the_lower_end_over_the_stages(self, ssprk33):
+        res = SSPResult((0.5, 0.75), abs_monotonic(ssprk33, 0.5))
+        assert (res.coefficient, res.effective_coefficient) == (0.5, 0.5 / 3)
+
+    def test_certificate_off_the_lower_end_refused(self, ssprk33):
+        with pytest.raises(ValueError, match="lower end"):
+            SSPResult((0.0, 0.0), abs_monotonic(ssprk33, 0.7157))
+
+    @pytest.mark.parametrize("bracket", [(-0.1, 0.5), (0.6, 0.5), (np.nan, 0.5)])
+    def test_negative_or_unordered_bracket_refused(self, ssprk33, bracket):
+        with pytest.raises(ValueError, match="nonnegative and in order"):
+            SSPResult(bracket, abs_monotonic(ssprk33, 0.5))
+
+    def test_positive_coefficient_needs_a_feasible_certificate(self, ssprk33):
+        with pytest.raises(ValueError, match="infeasible certificate"):
+            SSPResult((1.3, 1.4), abs_monotonic(ssprk33, 1.3))
 
 
 class TestCoefficient:
