@@ -13,7 +13,10 @@ convergence study.  Its studies step a 2-vector whose slope costs far
 less than ``rk_step``'s numpy overhead, so each study generates float
 steps for its tableaux (``integrator._float_step``) and steps those.  Its
 reference solution steps the eighth-order :func:`~essprk.methods.dop853`
-with ``rk_step``, with step halving until two resolutions agree to 1e-11.
+the same way, certified by step halving: each comparison sets n
+``rk_step`` steps against 2n float steps, until the two agree to 1e-11.
+That agreement certifies the resolution and the float stepper at once,
+and ``rk_step``'s bits reach only the test, not the result.
 """
 
 from __future__ import annotations
@@ -148,6 +151,7 @@ class TVDReport:
     ``max_increase`` (the largest step-to-step rise) and ``monotone`` (no
     rise above ``TV_TOL``; a NaN rise fails) are worked out from
     ``tv_series``, a read-only copy of the caller's series, not passed in.
+    The series must be one-dimensional with at least 2 entries.
     """
 
     sigma: float
@@ -158,6 +162,11 @@ class TVDReport:
 
     def __post_init__(self) -> None:
         tv = np.array(self.tv_series, dtype=float)
+        if tv.ndim != 1 or tv.size < 2:
+            raise ValueError(
+                f"tv_series of shape {tv.shape} is not a series of at least "
+                "2 entries"
+            )
         tv.flags.writeable = False
         object.__setattr__(self, "tv_series", tv)
         max_increase = float(np.max(np.diff(tv)))
@@ -305,25 +314,54 @@ def vdp_ivp() -> IVP:
     return IVP(rhs=_vdp_rhs, u0=np.array([2.0, 1.0]), t0=0.0, tf=VDP_FINAL_TIME)
 
 
-def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
-    """Final state by eighth-order DOP853 stepping with certified step halving.
+def _float_run(ivp: IVP, slope, *tableaux):
+    """``final(n)``: the state after n steps of the (start, main, stop) schedule.
 
-    Doubles the step count from 2048 until two consecutive resolutions
-    agree to ``REFERENCE_ACCURACY`` in the max norm, then returns the finer
-    result (its own error is far below the agreement threshold).  It steps
-    with numpy's ``rk_step``, not the generated float steps of the van der
-    Pol studies, so the oracle shares no stepping code with what it
-    certifies.
+    Steps the float steps generated here once per distinct tableau
+    (``integrator._float_step``); they agree with ``rk_step``'s to rounding.
+    """
+    steps = {
+        t: _float_step(t, slope, ivp.rhs, ivp.u0.size)
+        for t in dict.fromkeys(tableaux)
+    }
+    first, main, stop = (steps[t] for t in tableaux)
+
+    def start(u, dt):
+        # step 1 alone starts from an array, the run's u0
+        return first(tuple(u.tolist()), dt)
+
+    def final(n: int) -> np.ndarray:
+        for _, _, u in _steps(start, main, stop, ivp, n):
+            pass
+        return np.array(u)
+
+    return final
+
+
+def reference_solution(ivp: IVP, slope, max_doublings: int = 16) -> np.ndarray:
+    """Final state by eighth-order DOP853 stepping, certified across two steppers.
+
+    ``slope`` is ``ivp.rhs`` written over the state's components:
+    ``slope(*u)`` returns the tuple of floats ``ivp.rhs(u)`` returns as an
+    array.  Each comparison steps n DOP853 steps with numpy's ``rk_step``
+    and 2n with float steps generated for ``slope``
+    (``integrator._float_step``), from n = 2048, doubling n after each
+    disagreement, for at most ``max_doublings`` comparisons.  Once the two
+    final states agree to ``REFERENCE_ACCURACY`` in the max norm it
+    returns the 2n float result (its own error is far below the agreement
+    threshold).  The agreement checks the resolution and, with it, the
+    float stepper against ``rk_step``, which shares no stepping code with
+    it: a ``slope`` that disagrees with ``ivp.rhs`` is never certified.
     """
     tableau = dop853()
+    float_final = _float_run(ivp, slope, tableau, tableau, tableau)
     n = 2048
-    coarse = run_single(tableau, ivp, n).final
     for _ in range(max_doublings):
+        coarse = run_single(tableau, ivp, n).final
         n *= 2
-        fine = run_single(tableau, ivp, n).final
-        if float(np.max(np.abs(fine - coarse))) <= REFERENCE_ACCURACY:
-            return fine
-        coarse = fine
+        result = float_final(n)
+        if float(np.max(np.abs(result - coarse))) <= REFERENCE_ACCURACY:
+            return result
     raise EssprkError(
         f"reference solution did not converge to {REFERENCE_ACCURACY:g} "
         f"within {n} steps"
@@ -332,7 +370,7 @@ def reference_solution(ivp: IVP, max_doublings: int = 16) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _vdp_reference() -> np.ndarray:
-    return reference_solution(vdp_ivp())
+    return reference_solution(vdp_ivp(), _vdp_slope)
 
 
 def convergence_slope(
@@ -352,24 +390,13 @@ def convergence_slope(
 
 
 def _vdp_study(*tableaux):
-    # steps the (start, main, stop) schedule in float steps generated for
-    # this call; they agree with rk_step's to rounding
     ivp = vdp_ivp()
     ref = _vdp_reference()
-    first, main, stop = (
-        _float_step(t, _vdp_slope, ivp.rhs, ivp.u0.size) for t in tableaux
-    )
-
-    def start(u, dt):
-        # step 1 alone starts from an array, the run's u0
-        return first(tuple(u.tolist()), dt)
-
+    final = _float_run(ivp, _vdp_slope, *tableaux)
     ns = np.array(VDP_STEP_COUNTS)
     errors = np.empty(ns.size)
     for i, n in enumerate(ns):
-        for _, _, final in _steps(start, main, stop, ivp, int(n)):
-            pass
-        errors[i] = float(np.max(np.abs(np.array(final) - ref)))
+        errors[i] = float(np.max(np.abs(final(int(n)) - ref)))
     slope = convergence_slope(VDP_FINAL_TIME / ns, errors)
     return ns, errors, slope
 

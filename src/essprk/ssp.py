@@ -48,8 +48,9 @@ DEFAULT_ENTRY_TOL = 1e-12
 class MonotonicityReport:
     """Feasibility of the nonnegativity test at one radius.
 
-    ``coefficients`` is the transformed (s+1) x s array, ``remainder`` the
-    leftover column; the verdict is worked out from them, not passed in.
+    ``coefficients`` is the transformed (s+1) x s array with s >= 1 and
+    ``remainder`` the leftover column of length s+1; any other shape is a
+    ``ValueError``.  The verdict is worked out from them, not passed in.
     ``feasible`` holds when both are finite and nonnegative to
     ``DEFAULT_ENTRY_TOL``.  ``worst_entry`` is the most negative value
     found and ``worst_index`` locates it: ("coefficients", row, col) or
@@ -70,6 +71,15 @@ class MonotonicityReport:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         X, rem = self.coefficients, self.remainder
+        if X.ndim != 2 or X.shape[1] < 1 or X.shape[0] != X.shape[1] + 1:
+            raise ValueError(
+                f"coefficients of shape {X.shape} are not (s+1) x s with s >= 1"
+            )
+        if rem.shape != (X.shape[0],):
+            raise ValueError(
+                f"remainder of shape {rem.shape} is not ({X.shape[0]},), "
+                "one entry per row of coefficients"
+            )
         if not (np.isfinite(X).all() and np.isfinite(rem).all()):
             worst, index = -np.inf, ("coefficients", -1, -1)
         else:

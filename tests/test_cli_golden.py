@@ -1,5 +1,5 @@
 """Byte-stable CLI output: ``check`` and ``ssp`` for every catalog label, and
-``catalog``.
+``catalog``; and one ``convergence`` output on every BLAS kernel.
 
 ``data/cli_golden.json`` holds the stdout each command printed when the
 fixture was captured.  Any change to a printed byte, the last digit of a
@@ -10,7 +10,11 @@ of output:
 
 The capture also prints the same bytes under every OpenBLAS kernel, since
 no printed number goes through a BLAS or LAPACK call, and its SSP
-bisections run their exact tests at the same radii.
+bisections run their exact tests at the same radii.  So does
+``convergence`` for ESSPRK(3,3,2), (4,4,2) and (5,4,2), and for (4,4,2)
+with ``--main-only``: its studies and the van der Pol reference it prints
+errors against step in generated float arithmetic, and the reference's
+``rk_step`` run reaches only the agreement test that certifies it.
 """
 
 import contextlib
@@ -31,6 +35,12 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 # OpenBLAS kernels from SSE3 to AVX-512; a DYNAMIC_ARCH build runs the one
 # OPENBLAS_CORETYPE names
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
+
+# van der Pol studies whose errors are measured against the DOP853 reference
+CONVERGENCE = tuple(
+    ("convergence", "--scheme", label)
+    for label in ("ESSPRK(3,3,2)", "ESSPRK(4,4,2)", "ESSPRK(5,4,2)")
+) + (("convergence", "--scheme", "ESSPRK(4,4,2)", "--main-only"),)
 
 
 def commands():
@@ -70,26 +80,50 @@ def _runs_every_kernel():
             and bool({"X86_V4", "AVX512_SKX"} & cpu))
 
 
-@pytest.mark.skipif(not _runs_every_kernel(),
-                    reason="needs an OpenBLAS DYNAMIC_ARCH build on an AVX-512 CPU")
-def test_one_output_on_every_blas_kernel():
+def _one_hash_per_kernel(script):
+    """SHA-256 prefix of the stdout of ``script`` in one child per kernel."""
     from conftest import run_python  # not on the path of a script run
 
     hashes = {}
     for kernel in KERNELS:
-        # the radii of the exact tests follow the screen's bisection path
         proc = run_python(
-            "import os, runpy\n"
-            f"os.environ['OPENBLAS_CORETYPE'] = {kernel!r}\n"
-            "from essprk import ssp\n"
-            "radii, exact = [], ssp.abs_monotonic\n"
-            "ssp.abs_monotonic = lambda t, r: radii.append(r) or exact(t, r)\n"
-            f"runpy.run_path({str(Path(__file__))!r}, run_name='__main__')\n"
-            "print(radii)\n",
+            "import os\n"
+            f"os.environ['OPENBLAS_CORETYPE'] = {kernel!r}\n" + script,
             timeout=120,
         )
         assert proc.returncode == 0, (kernel, proc.stderr[-2000:])
         hashes[kernel] = hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]
+    return hashes
+
+
+every_kernel = pytest.mark.skipif(
+    not _runs_every_kernel(),
+    reason="needs an OpenBLAS DYNAMIC_ARCH build on an AVX-512 CPU",
+)
+
+
+@every_kernel
+def test_one_output_on_every_blas_kernel():
+    # the radii of the exact tests follow the screen's bisection path
+    hashes = _one_hash_per_kernel(
+        "import runpy\n"
+        "from essprk import ssp\n"
+        "radii, exact = [], ssp.abs_monotonic\n"
+        "ssp.abs_monotonic = lambda t, r: radii.append(r) or exact(t, r)\n"
+        f"runpy.run_path({str(Path(__file__))!r}, run_name='__main__')\n"
+        "print(radii)\n"
+    )
+    assert len(set(hashes.values())) == 1, hashes
+
+
+@every_kernel
+def test_convergence_one_output_on_every_blas_kernel():
+    # one cold reference per child, shared by its four studies
+    hashes = _one_hash_per_kernel(
+        "from essprk.cli import main\n"
+        f"for argv in {CONVERGENCE!r}:\n"
+        "    assert main(list(argv)) == 0\n"
+    )
     assert len(set(hashes.values())) == 1, hashes
 
 

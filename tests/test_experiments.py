@@ -245,6 +245,11 @@ class TestRunTvd:
         assert TVDReport(0.5, [1.0, 1.0, 0.5], 1.0).monotone
         assert not TVDReport(0.5, [1.0, np.nan, 0.5], 1.0).monotone
 
+    @pytest.mark.parametrize("tv", [[1.0], [], [[1.0, 0.5]]])
+    def test_short_or_nested_series_refused(self, tv):
+        with pytest.raises(ValueError, match="tv_series of shape"):
+            TVDReport(0.5, tv, 1.0)
+
     def test_callers_series_left_writable(self):
         tv = np.array([1.0, 1.0, 0.5])
         report = TVDReport(0.5, tv, 1.0)
@@ -501,7 +506,7 @@ class TestProvenRatio:
 class TestReferenceSolution:
     def test_exponential(self):
         ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
-        ref = reference_solution(ivp)
+        ref = reference_solution(ivp, lambda v: (v,))
         assert abs(ref[0] - np.e) <= 1e-11
 
     def test_harmonic_oscillator_period(self):
@@ -511,13 +516,21 @@ class TestReferenceSolution:
             t0=0.0,
             tf=2.0 * np.pi,
         )
-        ref = reference_solution(ivp)
+        ref = reference_solution(ivp, lambda x, y: (y, -x))
         assert np.max(np.abs(ref - np.array([1.0, 0.5]))) <= 1e-10
 
     def test_no_convergence_reported(self):
         ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
         with pytest.raises(EssprkError, match="did not converge"):
-            reference_solution(ivp, max_doublings=0)
+            reference_solution(ivp, lambda v: (v,), max_doublings=0)
+
+    def test_slope_disagreeing_with_rhs_is_never_certified(self):
+        # the float run steps v' = 1.0001 v, rk_step steps v' = v: every
+        # comparison differs by about 3e-4 whatever the resolution
+        ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
+        with pytest.raises(EssprkError, match="did not converge") as info:
+            reference_solution(ivp, lambda v: (1.0001 * v,), max_doublings=2)
+        assert "within 8192 steps" in str(info.value)
 
 
 class TestDop853Reference:
@@ -639,8 +652,9 @@ class TestVdpStudyFailure:
 
 
 class TestVdpRouting:
-    """The studies step generated float steps; only the reference, which
-    certifies them, steps rk_step, so tracing rk_step counts its steps."""
+    """The studies step generated float steps.  Only the reference steps
+    rk_step, for the coarse run of each comparison, which checks its fine
+    float run; tracing rk_step counts those coarse steps."""
 
     @staticmethod
     def count_rk_steps(monkeypatch):
@@ -668,7 +682,8 @@ class TestVdpRouting:
     def test_cold_reference_steps_rk_step(self, monkeypatch):
         calls = self.count_rk_steps(monkeypatch)
         experiments._vdp_reference.__wrapped__()
-        assert len(calls) == 6144
+        # one comparison: 2048 rk_step steps against 4096 float steps
+        assert len(calls) == 2048
 
     def test_import_generates_no_step(self):
         script = (

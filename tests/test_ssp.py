@@ -174,6 +174,19 @@ class TestResultFromEvidence:
         assert not report.feasible
         assert report.worst_entry == -np.inf
 
+    def test_empty_report_refused(self):
+        with pytest.raises(ValueError, match="coefficients of shape"):
+            MonotonicityReport(0.0, [], [])
+
+    def test_one_dimensional_coefficients_refused(self):
+        with pytest.raises(ValueError, match="coefficients of shape"):
+            MonotonicityReport(0.0, [0.5, 0.5], [1.0, 1.0])
+
+    def test_remainder_of_another_length_refused(self):
+        # a (3, 2) array is s = 2, so the remainder needs 3 entries, not 5
+        with pytest.raises(ValueError, match="remainder of shape"):
+            MonotonicityReport(0.0, np.ones((3, 2)), np.ones(5))
+
     def test_coefficient_is_the_lower_end_over_the_stages(self, ssprk33):
         res = SSPResult((0.5, 0.75), abs_monotonic(ssprk33, 0.5))
         assert (res.coefficient, res.effective_coefficient) == (0.5, 0.5 / 3)
