@@ -13,10 +13,12 @@ convergence study.  Its studies step a 2-vector whose slope costs far
 less than ``rk_step``'s numpy overhead, so each study generates float
 steps for its tableaux (``integrator._float_step``) and steps those.  Its
 reference solution steps the eighth-order :func:`~essprk.methods.dop853`
-the same way, certified by step halving: each comparison sets n
-``rk_step`` steps against 2n float steps, until the two agree to 1e-11.
-That agreement certifies the resolution and the float stepper at once,
-and ``rk_step``'s bits reach only the test, not the result.
+the same way, certified by step halving: each comparison sets n float
+steps against 2n, until the two agree to 1e-11, which certifies the
+resolution alone.  ``rk_step`` retakes a fixed number of evenly spaced
+steps of each run, from the run's own states, and must land on the float
+step's result to rounding; that checks the float stepper and the
+caller's slope against ``ivp.rhs`` at run time.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .integrator import (
     _steps,
     composite_steps,
     rk_step,
-    run_single,
 )
 from .methods import dop853
 from .ssp import _bracket, ssp_coefficient
@@ -64,6 +65,10 @@ TV_TOL = 1e-10
 # a TV series this long fits in memory; the paper's runs take a few thousand
 MAX_BURGERS_STEPS = 10**7
 REFERENCE_ACCURACY = 1e-11
+# rk_step retakes this many evenly spaced steps of each reference run; its
+# result must agree with the float step's to this, relative to 1 + |u|
+REFERENCE_SAMPLES = 32
+STEP_AGREEMENT = 1e-14
 VDP_MU = 2.0
 VDP_FINAL_TIME = 50.0
 VDP_STEP_COUNTS = tuple(100 * 2**k for k in range(2, 8))
@@ -315,10 +320,12 @@ def vdp_ivp() -> IVP:
 
 
 def _float_run(ivp: IVP, slope, *tableaux):
-    """``final(n)``: the state after n steps of the (start, main, stop) schedule.
+    """``run(n)``: ``_steps`` over n steps of the (start, main, stop) schedule.
 
     Steps the float steps generated here once per distinct tableau
     (``integrator._float_step``); they agree with ``rk_step``'s to rounding.
+    The generator yields (step, time, state) with each state after u0 a
+    tuple of floats.
     """
     steps = {
         t: _float_step(t, slope, ivp.rhs, ivp.u0.size)
@@ -330,38 +337,79 @@ def _float_run(ivp: IVP, slope, *tableaux):
         # step 1 alone starts from an array, the run's u0
         return first(tuple(u.tolist()), dt)
 
-    def final(n: int) -> np.ndarray:
-        for _, _, u in _steps(start, main, stop, ivp, n):
-            pass
-        return np.array(u)
+    return partial(_steps, start, main, stop, ivp)
 
-    return final
+
+def _final(states) -> np.ndarray:
+    """The last state a step generator yields, as an array."""
+    for _, _, u in states:
+        pass
+    return np.array(u)
+
+
+def _check_slope(ivp: IVP, slope) -> None:
+    d = ivp.u0.size
+    try:
+        out = slope(*ivp.u0.tolist())
+    except TypeError as exc:
+        raise DomainError(
+            f"slope cannot take the state's {d} components: {exc}"
+        ) from None
+    if not hasattr(out, "__len__"):
+        raise DomainError(f"slope returns a {type(out).__name__}, not {d} values")
+    if len(out) != d:
+        raise DomainError(
+            f"slope returns a length-{len(out)} result for a state of length {d}"
+        )
 
 
 def reference_solution(ivp: IVP, slope, max_doublings: int = 16) -> np.ndarray:
-    """Final state by eighth-order DOP853 stepping, certified across two steppers.
+    """Final state by eighth-order DOP853 stepping, certified by step halving.
 
     ``slope`` is ``ivp.rhs`` written over the state's components:
     ``slope(*u)`` returns the tuple of floats ``ivp.rhs(u)`` returns as an
-    array.  Each comparison steps n DOP853 steps with numpy's ``rk_step``
-    and 2n with float steps generated for ``slope``
-    (``integrator._float_step``), from n = 2048, doubling n after each
-    disagreement, for at most ``max_doublings`` comparisons.  Once the two
-    final states agree to ``REFERENCE_ACCURACY`` in the max norm it
-    returns the 2n float result (its own error is far below the agreement
-    threshold).  The agreement checks the resolution and, with it, the
-    float stepper against ``rk_step``, which shares no stepping code with
-    it: a ``slope`` that disagrees with ``ivp.rhs`` is never certified.
+    array; a ``slope`` that cannot take u0's components or returns another
+    number of them raises ``DomainError`` before any step.  Each comparison
+    steps n and 2n DOP853 steps, both with float steps generated for
+    ``slope`` (``integrator._float_step``), from n = 2048, doubling n after
+    each disagreement, for at most ``max_doublings`` comparisons.  Once the
+    two final states agree to ``REFERENCE_ACCURACY`` in the max norm it
+    returns the 2n result (its own error is far below the agreement
+    threshold).
+
+    The stepper and ``slope`` are checked apart from the resolution: from
+    every (n / ``REFERENCE_SAMPLES``)-th state of each run, one ``rk_step``
+    with ``ivp.rhs``, which shares no stepping code with the float step,
+    must land within ``STEP_AGREEMENT * (1 + max|u|)`` of the run's next
+    state ``u``, or ``EssprkError`` names the step.  A ``slope`` that
+    disagrees with ``ivp.rhs`` where a sampled step goes is never certified.
     """
+    _check_slope(ivp, slope)
     tableau = dop853()
-    float_final = _float_run(ivp, slope, tableau, tableau, tableau)
+    run = _float_run(ivp, slope, tableau, tableau, tableau)
+
+    def final(n: int) -> np.ndarray:
+        dt = (ivp.tf - ivp.t0) / n
+        every = n // REFERENCE_SAMPLES
+        for (k, _, u), (_, _, v) in itertools.pairwise(run(n)):
+            if k % every == 0:
+                w = np.array(v)
+                gap = float(np.max(np.abs(rk_step(tableau, ivp.rhs, u, dt) - w)))
+                if not gap <= STEP_AGREEMENT * (1.0 + float(np.max(np.abs(w)))):
+                    raise EssprkError(
+                        f"step {k + 1} of {n}: rk_step with ivp.rhs differs "
+                        f"from the float step with slope by {gap:.3g}"
+                    )
+        return np.array(v)
+
     n = 2048
+    coarse = final(n) if max_doublings > 0 else None
     for _ in range(max_doublings):
-        coarse = run_single(tableau, ivp, n).final
         n *= 2
-        result = float_final(n)
+        result = final(n)
         if float(np.max(np.abs(result - coarse))) <= REFERENCE_ACCURACY:
             return result
+        coarse = result
     raise EssprkError(
         f"reference solution did not converge to {REFERENCE_ACCURACY:g} "
         f"within {n} steps"
@@ -392,11 +440,11 @@ def convergence_slope(
 def _vdp_study(*tableaux):
     ivp = vdp_ivp()
     ref = _vdp_reference()
-    final = _float_run(ivp, _vdp_slope, *tableaux)
+    run = _float_run(ivp, _vdp_slope, *tableaux)
     ns = np.array(VDP_STEP_COUNTS)
     errors = np.empty(ns.size)
     for i, n in enumerate(ns):
-        errors[i] = float(np.max(np.abs(final(int(n)) - ref)))
+        errors[i] = float(np.max(np.abs(_final(run(int(n))) - ref)))
     slope = convergence_slope(VDP_FINAL_TIME / ns, errors)
     return ns, errors, slope
 

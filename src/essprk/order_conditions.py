@@ -210,6 +210,10 @@ def _halves(children: tuple) -> tuple:
 _STAGES = [None, None] + [_halves(children) for children in _CHILDREN[2:]]
 
 
+# the order verdicts and the starting weights of one tableau each read its
+# weights; the last tableau's are kept, since a tableau and the read-only
+# vector never change
+@lru_cache(maxsize=1)
 def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     """All 18 elementary weights of a tableau, as a read-only vector.
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from essprk import cli
+from essprk import cli, order_conditions
 from essprk.cli import _ssp_payload, main
 from essprk.errors import TableauParseError
-from essprk.methods import catalog, family_n2p1
+from essprk.methods import catalog, family_n2p1, lookup
 from essprk.tableau import (
     ButcherTableau,
     ShuOsherForm,
@@ -115,6 +115,23 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["effective_order"] == 5
         assert "effective order is a lower bound; testing stops at five" in doc["notes"]
+
+    def test_weights_computed_once(self, capsys, tmp_path, monkeypatch):
+        # classical order, effective order and the starting weights each
+        # read them; a fresh file is a tableau no earlier call has seen
+        path = tmp_path / "main.json"
+        path.write_bytes(emit_tableau(lookup("ESSPRK(4,4,2)").main))
+        calls = []
+        weights = order_conditions._weights
+
+        def counted(*args):
+            calls.append(0)
+            return weights(*args)
+
+        monkeypatch.setattr(order_conditions, "_weights", counted)
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0 and json.loads(out)["starting_weights"] is not None
+        assert len(calls) == 1
 
     def test_missing_target(self, capsys):
         code, _, err = run_cli(capsys, "check", "nope.json")

@@ -1,5 +1,6 @@
 """Burgers total-variation experiments and van der Pol convergence."""
 
+import re
 import sys
 import warnings
 from importlib import resources
@@ -525,12 +526,64 @@ class TestReferenceSolution:
             reference_solution(ivp, lambda v: (v,), max_doublings=0)
 
     def test_slope_disagreeing_with_rhs_is_never_certified(self):
-        # the float run steps v' = 1.0001 v, rk_step steps v' = v: every
-        # comparison differs by about 3e-4 whatever the resolution
+        # the float run steps v' = 1.0001 v, rk_step steps v' = v: the first
+        # sampled step already differs by about 5e-8, far past rounding, so
+        # the call returns no value
         ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
-        with pytest.raises(EssprkError, match="did not converge") as info:
+        with pytest.raises(EssprkError, match="step 1 of 2048: rk_step"):
             reference_solution(ivp, lambda v: (1.0001 * v,), max_doublings=2)
-        assert "within 8192 steps" in str(info.value)
+
+    def test_slope_wrong_only_for_negative_x_is_refused(self):
+        # right at u0 and along the first quarter period; the check must
+        # reach a sampled step inside the run
+        def slope(x, y):
+            return y, -x if x >= 0.0 else -1.0001 * x
+
+        ivp = IVP(
+            rhs=lambda v: np.array([v[1], -v[0]]),
+            u0=np.array([1.0, 0.5]),
+            t0=0.0,
+            tf=2.0 * np.pi,
+        )
+        with pytest.raises(EssprkError, match="rk_step with ivp.rhs") as info:
+            reference_solution(ivp, slope, max_doublings=2)
+        step = int(re.match(r"step (\d+) of 2048", str(info.value))[1])
+        assert step > 1
+
+    def test_slope_taking_too_few_components_refused(self):
+        ivp = IVP(rhs=lambda v: v, u0=np.array([1.0, 2.0]), t0=0.0, tf=1.0)
+        with pytest.raises(DomainError, match="2 components.*takes 1 positional"):
+            reference_solution(ivp, lambda x: (x,))
+
+    @pytest.mark.parametrize(
+        "slope, message",
+        [
+            (lambda x, y: (y,), "length-1 result .* length 2"),
+            (lambda x, y: y, "returns a float, not 2 values"),
+        ],
+        ids=["short-tuple", "bare-float"],
+    )
+    def test_slope_returning_too_few_values_refused(self, slope, message):
+        ivp = IVP(rhs=lambda v: v, u0=np.array([1.0, 2.0]), t0=0.0, tf=1.0)
+        with pytest.raises(DomainError, match=message):
+            reference_solution(ivp, slope)
+
+    def test_float_step_within_the_sampled_check_of_rk_step(self):
+        # the check's tolerance holds at random van der Pol states, step
+        # sizes of the reference's runs, on every tableau a study steps
+        tableaux = [dop853()] + [
+            t for e in catalog() for t in (e.main, e.start, e.stop) if t is not None
+        ]
+        rhs, tol = experiments._vdp_rhs, experiments.STEP_AGREEMENT
+        rng = np.random.default_rng(2012)
+        for tableau in tableaux:
+            step = integrator._float_step(tableau, experiments._vdp_slope, rhs, 2)
+            for n in (2048, 4096):
+                dt = experiments.VDP_FINAL_TIME / n
+                for u in rng.uniform([-2.5, -4.0], [2.5, 4.0], (20, 2)).tolist():
+                    v = np.array(step(tuple(u), dt))
+                    gap = np.max(np.abs(rk_step(tableau, rhs, u, dt) - v))
+                    assert gap <= tol * (1.0 + np.max(np.abs(v)))
 
 
 class TestDop853Reference:
@@ -652,9 +705,10 @@ class TestVdpStudyFailure:
 
 
 class TestVdpRouting:
-    """The studies step generated float steps.  Only the reference steps
-    rk_step, for the coarse run of each comparison, which checks its fine
-    float run; tracing rk_step counts those coarse steps."""
+    """The studies and the reference step generated float steps.  Only the
+    reference calls rk_step, for its sampled check: from every
+    (n / REFERENCE_SAMPLES)-th state of each run, one rk_step step must land
+    on the float step's; tracing rk_step counts those samples."""
 
     @staticmethod
     def count_rk_steps(monkeypatch):
@@ -682,8 +736,8 @@ class TestVdpRouting:
     def test_cold_reference_steps_rk_step(self, monkeypatch):
         calls = self.count_rk_steps(monkeypatch)
         experiments._vdp_reference.__wrapped__()
-        # one comparison: 2048 rk_step steps against 4096 float steps
-        assert len(calls) == 2048
+        # one comparison of 2048 against 4096 float steps, each run sampled
+        assert len(calls) == 2 * experiments.REFERENCE_SAMPLES == 64
 
     def test_import_generates_no_step(self):
         script = (
