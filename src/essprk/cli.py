@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -168,6 +170,10 @@ def _cmd_optimize(args) -> int:
 
     spec = EffectiveOrderSpec(args.q, args.p)
     config = SearchConfig(restarts=args.restarts, seed=args.seed)
+    out = Path(args.out)
+    # the error writing would raise, before the search rather than after it
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     _log(
         f"searching {args.s} stages for effective order {args.q} "
         f"(classical {args.p}), {args.restarts} restarts, seed {args.seed}"
@@ -177,7 +183,7 @@ def _cmd_optimize(args) -> int:
     tableau = dataclasses.replace(
         outcome.tableau, label=label, q=args.q, p=args.p
     )
-    Path(args.out).write_bytes(emit_tableau(tableau))
+    out.write_bytes(emit_tableau(tableau))
     _emit_json(
         {
             "label": label,

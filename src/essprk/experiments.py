@@ -427,13 +427,29 @@ def convergence_slope(
     """Least-squares slope of log error against log step size.
 
     Points with error at or below ``floor`` sit in the reference solution's
-    noise and are excluded from the fit.
+    noise and are excluded from the fit.  Step sizes must be positive and
+    finite, errors finite and nonnegative, one per step size, and the
+    points kept must span two step sizes; anything else raises
+    :class:`DomainError` naming the field, so a NaN error is never dropped.
     """
     h = np.asarray(step_sizes, dtype=float)
     e = np.asarray(errors, dtype=float)
+    if h.ndim != 1 or e.shape != h.shape:
+        raise DomainError(
+            f"step_sizes and errors must be vectors of one length, got shapes "
+            f"{h.shape} and {e.shape}"
+        )
+    if not np.all((h > 0.0) & (h < math.inf)):
+        raise DomainError(f"step_sizes must be positive and finite, got {h.tolist()}")
+    if not np.all((e >= 0.0) & (e < math.inf)):
+        raise DomainError(f"errors must be finite and nonnegative, got {e.tolist()}")
+    if not 0.0 <= floor < math.inf:
+        raise DomainError(f"floor must be nonnegative and finite, got {floor}")
     keep = e > floor
     if np.count_nonzero(keep) < 2:
         raise DomainError("fewer than two points above the error floor")
+    if np.ptp(h[keep]) == 0.0:
+        raise DomainError("step_sizes above the error floor are all equal")
     return float(np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)[0])
 
 

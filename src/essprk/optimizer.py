@@ -141,17 +141,26 @@ def _pack_dim(s: int) -> int:
     return s * (s - 1) // 2 + s
 
 
+@lru_cache(maxsize=None)
+def _below_diagonal(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries below the diagonal of an s x s
+    A, row by row, as read-only arrays."""
+    index = np.tril_indices(s, -1)
+    for i in index:
+        i.flags.writeable = False
+    return index
+
+
 def _split(x: np.ndarray, stages) -> list:
     """(A, b) of each tableau packed in x: the rows of A below the diagonal,
     then b, one tableau per stage count."""
     out, k = [], 0
     for s in stages:
         A = np.zeros((s, s))
-        for i in range(1, s):
-            A[i, :i] = x[k : k + i]
-            k += i
-        out.append((A, np.array(x[k : k + s])))
-        k += s
+        m = k + s * (s - 1) // 2
+        A[_below_diagonal(s)] = x[k:m]
+        out.append((A, np.array(x[m : m + s])))
+        k = m + s
     return out
 
 
@@ -177,13 +186,16 @@ def _block_diagonal(blocks, extra: int = 0) -> np.ndarray:
     return out
 
 
-def _packed_weights(stages, rows=slice(None)):
-    """Elementary weights on ``rows`` of the tableaux packed in x, stacked,
-    and their block-diagonal Jacobian, as functions of x.
+def _packed_weights(stages, q: int):
+    """Elementary weights of the tableaux packed in x, stacked, and their
+    block-diagonal Jacobian, as functions of x.
 
-    The weights come read-only and are kept for the last x, keyed on its
-    bytes, since SLSQP evaluates the constraints and then their Jacobian
-    at one point, and may reuse the buffer of x in place.
+    Only the trees of order at most q are computed: the weights past them
+    are NaN and their Jacobian rows zero, and the conditions of effective
+    order q read none of them.  The weights come read-only and are kept for
+    the last x, keyed on its bytes, since SLSQP evaluates the constraints
+    and then their Jacobian at one point, and may reuse the buffer of x in
+    place.
     """
     last = [None, None]
 
@@ -193,7 +205,7 @@ def _packed_weights(stages, rows=slice(None)):
             # _split builds each A strictly lower triangular, as a tableau
             # would, and c is the tableau's own row sums
             w = np.concatenate([
-                _weights(A, b, A.sum(axis=1))[rows] for A, b in _split(x, stages)
+                _weights(A, b, A.sum(axis=1), q) for A, b in _split(x, stages)
             ])
             w.flags.writeable = False
             last[:] = key, w
@@ -201,8 +213,7 @@ def _packed_weights(stages, rows=slice(None)):
 
     def jacobian(x):
         return _block_diagonal([
-            _weights_jacobian(A, b, *_tangents(b.size))[rows]
-            for A, b in _split(x, stages)
+            _weights_jacobian(A, b, *_tangents(b.size), q) for A, b in _split(x, stages)
         ])
 
     return weights, jacobian
@@ -217,9 +228,13 @@ def _random_start(rng: np.random.Generator, s: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
 def _structural(s: int) -> np.ndarray:
-    """Mask of the transformed (s+1) x s entries that are not always zero."""
-    return np.arange(s + 1)[:, None] > np.arange(s)
+    """Read-only mask of the transformed (s+1) x s entries that are not
+    always zero."""
+    mask = np.arange(s + 1)[:, None] > np.arange(s)
+    mask.flags.writeable = False
+    return mask
 
 
 def _margins(z: np.ndarray, stages) -> np.ndarray:
@@ -263,7 +278,7 @@ def _margins_jacobian(z: np.ndarray, stages) -> np.ndarray:
 
 def _main_constraints(s: int, spec: EffectiveOrderSpec):
     """Order residuals of a packed s-stage tableau and their exact Jacobian."""
-    weights, weights_jacobian = _packed_weights([s])
+    weights, weights_jacobian = _packed_weights([s], spec.q)
 
     def fun(x):
         return effective_order_residuals(weights(x), spec)
@@ -274,9 +289,10 @@ def _main_constraints(s: int, spec: EffectiveOrderSpec):
     return fun, jac
 
 
-def _start_stop_constraints(targets, gaps, stages):
-    """The start/stop conditions ``gaps`` over (x_start, x_stop), with Jacobian."""
-    weights, weights_jacobian = _packed_weights(stages)
+def _start_stop_constraints(targets, gaps, stages, q: int):
+    """The start/stop conditions ``gaps`` over (x_start, x_stop), with
+    Jacobian, for a main method of effective order q."""
+    weights, weights_jacobian = _packed_weights(stages, q)
     goal = np.concatenate(targets)
 
     def fun(x):
@@ -447,7 +463,7 @@ def optimize_start_stop(
         w_main, main.spec.q, main.spec.p, config.residual_tol
     )
     stages = [s + 1, s]
-    eq, eq_jac = _start_stop_constraints(targets, gaps, stages)
+    eq, eq_jac = _start_stop_constraints(targets, gaps, stages, main.spec.q)
 
     def start(k):
         rng = np.random.default_rng((config.seed, k, 1))
@@ -491,7 +507,7 @@ def perturbation_pair_tableaux(
     resolved = resolve_free_weights(w, starting, elementary_weights(scheme.start))
     alpha = _starting_series(resolved)
     s, rows = scheme.q, slice(1, _trees_through(scheme.q) + 1)
-    weights, jacobian = _packed_weights([s], rows)
+    weights, jacobian = _packed_weights([s], s)
     dim = _pack_dim(s)
     rng = np.random.default_rng(1234)
     # 100 * dim is least_squares' own default evaluation budget
@@ -500,10 +516,10 @@ def perturbation_pair_tableaux(
     for target in (alpha, butcher_inverse(alpha)):
         goal = target[rows]
         x = _least_squares_fit(
-            lambda x: weights(x) - goal, jacobian,
+            lambda x: weights(x)[rows] - goal, lambda x: jacobian(x)[rows],
             lambda k: rng.uniform(-0.8, 0.8, size=dim), -np.inf, config,
         )
-        residual = float(np.max(np.abs(weights(x) - goal)))
+        residual = float(np.max(np.abs(weights(x)[rows] - goal)))
         if not residual <= 1e-9:
             raise EssprkError(f"weight fit stalled at residual {residual:.2e}")
         out.append(ButcherTableau(*_split(x, [s])[0]))

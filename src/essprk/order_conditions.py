@@ -110,6 +110,7 @@ DEFAULT_ORDER_TOL = 1e-10
 _DEFECT_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def _trees_through(q: int) -> int:
     """Number of (nonempty) trees of order at most q; they are indices 1 to it."""
     return int(np.count_nonzero(TREE_ORDER[1:] <= q))
@@ -225,27 +226,35 @@ def elementary_weights(tableau: ButcherTableau) -> np.ndarray:
     return _frozen(_weights(tableau.A, tableau.b, tableau.c))
 
 
-def _weights(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _weights(A: np.ndarray, b: np.ndarray, c: np.ndarray, q: int = 5) -> np.ndarray:
     """The weights of :func:`elementary_weights` from a strictly lower
-    triangular A, its weights b and its row sums c, with no tableau built."""
+    triangular A, its weights b and its row sums c, with no tableau built.
+
+    Only the trees of order at most q (two or more) are computed, each to
+    the bytes of the full computation; the weights past them are NaN.
+    """
+    n = _trees_through(q)
     # stage vectors by tree; A times the all-ones vector is c
     g = [None, None, c]
-    for left, right in _STAGES[3:]:
+    for left, right in _STAGES[3 : n + 1]:
         g.append((A * g[left]).sum(axis=1) if right is None else g[left] * g[right])
-    G = np.array(g[2:])
-    return np.concatenate(([1.0, b.sum()], (G * b).sum(axis=1)))
+    w = np.full(N_TREES, np.nan)
+    w[0], w[1] = 1.0, b.sum()
+    w[2 : n + 1] = (np.array(g[2 : n + 1]) * b).sum(axis=1)
+    return w
 
 
-def _weights_jacobian(A, b, dA, db) -> np.ndarray:
+def _weights_jacobian(A, b, dA, db, q: int = 5) -> np.ndarray:
     """Jacobian of the 18 elementary weights along the tangent directions
     (dA[k], db[k]) of (A, b), one column per k.
 
     Forward mode over the stage plan of :func:`elementary_weights`: every
-    stage vector travels with one tangent row per direction.
+    stage vector travels with one tangent row per direction.  Only the
+    trees of order at most q are stepped; the rows past them stay zero.
     """
     n, s = db.shape
     g = [None, (np.ones(s), np.zeros((n, s)))]
-    for left, right in _STAGES[2:]:
+    for left, right in _STAGES[2 : _trees_through(q) + 1]:
         u, du = g[left]
         if right is None:
             g.append((A @ u, dA @ u + du @ A.T))

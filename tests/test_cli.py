@@ -374,6 +374,23 @@ class TestOptimize:
         assert "Traceback" not in err
 
 
+    def test_missing_out_directory_refused_before_searching(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from essprk import optimizer
+
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(optimizer, "optimize_main", search)
+        out_file = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "optimize", "--s", "3", "--q", "3", "--p", "2",
+            "--restarts", "1", "--out", str(out_file),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{out_file}'\n"
+
     def test_huge_stage_count_is_refused_before_allocating(self, tmp_path):
         out_file = tmp_path / "x.json"
         proc = run_capped_cli(

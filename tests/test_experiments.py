@@ -631,6 +631,25 @@ class TestSlopeFit:
         with pytest.raises(DomainError, match="floor"):
             convergence_slope([0.1, 0.05], [1e-12, 1e-12])
 
+    # each used to fit around the fault: a dropped NaN, a NaN slope, a bare
+    # IndexError, or a numpy warning before a NaN or a fit of one point
+    @pytest.mark.parametrize(
+        "h,errors,field",
+        [
+            ([0.1, 0.05, 0.025], [np.nan, 1e-3, 1e-4], "errors"),
+            ([0.1, 0.05, 0.025], [np.inf, 1e-3, 1e-4], "errors"),
+            ([0.1, 0.05, 0.025], [1e-2, 1e-3], "step_sizes and errors"),
+            ([-0.1, 0.05, 0.025], [1e-2, 1e-3, 1e-4], "step_sizes"),
+            ([0.1, 0.1, 0.1], [1e-2, 1e-3, 1e-4], "step_sizes"),
+        ],
+        ids=["nan-error", "inf-error", "lengths-differ", "negative-step", "equal-steps"],
+    )
+    def test_fault_refused_naming_its_field(self, h, errors, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{field} "):
+                convergence_slope(h, errors)
+
 
 def reference_vdp_rhs(u):
     """The numpy-scalar van der Pol formula _vdp_rhs must reproduce."""

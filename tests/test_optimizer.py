@@ -21,16 +21,21 @@ from essprk.optimizer import (
     _max_radius_search,
     _pack_dim,
     _packed_weights,
+    _below_diagonal,
     _split,
     _start_stop_constraints,
+    _structural,
     _tangents,
     optimize_main,
     optimize_start_stop,
 )
 from essprk.order_conditions import (
+    TREE_ORDER,
     EffectiveOrderSpec,
     _companion_conditions,
     _companion_gaps,
+    _trees_through,
+    _weights,
     _weights_jacobian,
     effective_order,
     effective_order_residuals,
@@ -50,6 +55,12 @@ def central_difference(f, x, h=1e-6):
 
 def assert_jacobian(exact, f, x):
     np.testing.assert_allclose(exact, central_difference(f, x), rtol=1e-6, atol=1e-7)
+
+
+def through(rows):
+    """The order of the last tree ``rows`` reaches, the least bound that
+    computes them all; a slice over several tableaux takes every row."""
+    return int(TREE_ORDER[rows][-1])
 
 
 def wrap(tableau, spec):
@@ -185,13 +196,13 @@ class TestExactJacobians:
         "stages,rows", [([5, 4], slice(None)), ([4], slice(1, 9))]
     )
     def test_packed_weights(self, stages, rows):
-        weights, jacobian = _packed_weights(stages, rows)
+        weights, jacobian = _packed_weights(stages, through(rows))
         x = np.random.default_rng(len(stages)).uniform(
             -0.5, 1.0, sum(_pack_dim(s) for s in stages)
         )
-        exact = jacobian(x)
-        assert exact.shape == (weights(x).size, x.size)
-        assert_jacobian(exact, weights, x)
+        exact = jacobian(x)[rows]
+        assert exact.shape == (weights(x)[rows].size, x.size)
+        assert_jacobian(exact, lambda y: weights(y)[rows], x)
 
     @pytest.mark.parametrize("q,p", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
     def test_order_residuals(self, q, p):
@@ -221,7 +232,7 @@ class TestExactJacobians:
         main = lookup(label).main
         _, targets, gaps = _companion_conditions(elementary_weights(main), q, p)
         stages = [main.s + 1, main.s]
-        fun, jac = _start_stop_constraints(targets, gaps, stages)
+        fun, jac = _start_stop_constraints(targets, gaps, stages, q)
         n = sum(_pack_dim(s) for s in stages)
         x = np.random.default_rng(main.s).uniform(-0.2, 0.6, n)
         assert_jacobian(jac(x), fun, x)
@@ -328,18 +339,18 @@ class TestCallbacksBitForBit:
 
     @pytest.mark.parametrize("stages,rows", CALLBACK_SHAPES)
     def test_packed_weights(self, stages, rows):
-        weights, jacobian = _packed_weights(stages, rows)
+        weights, jacobian = _packed_weights(stages, through(rows))
         x = random_point(stages, len(stages))
         split = _split(x, stages)
         expected = np.concatenate(
             [elementary_weights(ButcherTableau(A=A, b=b))[rows] for A, b in split]
         )
-        assert weights(x).tobytes() == expected.tobytes()
+        assert weights(x)[rows].tobytes() == expected.tobytes()
         expected = block_diag(
             *[_weights_jacobian(A, b, *_tangents(b.size))[rows] for A, b in split]
         )
-        assert jacobian(x).shape == expected.shape
-        assert jacobian(x).tobytes() == expected.tobytes()
+        assert jacobian(x)[rows].shape == expected.shape
+        assert jacobian(x)[rows].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("stages", [[4], [5, 4], [2], [6, 5], [17]])
     @pytest.mark.parametrize("r", [0.0, 0.7, 3.0, "2s"])
@@ -363,7 +374,7 @@ class TestCallbacksBitForBit:
             raise StopIteration
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
-        weights, jacobian = _packed_weights(stages, slice(1, 9))
+        weights, jacobian = _packed_weights(stages, 4)
         x = random_point(stages, len(stages))
         with pytest.raises(StopIteration):
             _max_radius_search(weights, jacobian, stages, lambda k: x, 0.0, COARSE)
@@ -398,7 +409,7 @@ class TestWeightsOncePerPoint:
         main = lookup("ESSPRK(3,3,2)").main
         _, targets, gaps = _companion_conditions(elementary_weights(main), 3, 2)
         stages = [4, 3]
-        fun, jac = _start_stop_constraints(targets, gaps, stages)
+        fun, jac = _start_stop_constraints(targets, gaps, stages, 3)
         x = random_point(stages, 0)
         fun(x)
         jac(x)
@@ -415,8 +426,113 @@ class TestWeightsOncePerPoint:
         assert not np.array_equal(fun(x), first)
 
     def test_weights_are_read_only(self):
-        weights, _ = _packed_weights([4])
+        weights, _ = _packed_weights([4], 3)
         w = weights(random_point([4], 3))
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 2.0
+
+
+ATTAINABLE = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
+
+
+@pytest.fixture
+def full_trees(monkeypatch):
+    """Switch the optimizer's weights and their Jacobian to every tree,
+    whatever order bound the callbacks pass: the computation the bound must
+    reproduce byte for byte."""
+    weights, jacobian = optimizer._weights, optimizer._weights_jacobian
+
+    def switch():
+        monkeypatch.setattr(optimizer, "_weights", lambda A, b, c, q: weights(A, b, c))
+        monkeypatch.setattr(
+            optimizer, "_weights_jacobian", lambda A, b, dA, db, q: jacobian(A, b, dA, db)
+        )
+
+    return switch
+
+
+def callback_bytes(fun, jac, points):
+    return [(fun(x).tobytes(), jac(x).tobytes()) for x in points]
+
+
+def outcome_bytes(out):
+    if isinstance(out, MainSearchOutcome):
+        arrays = (out.tableau.A, out.tableau.b, out.residuals)
+        scalars = (out.ssp.coefficient, out.converged)
+    else:
+        arrays = (out.start.A, out.start.b, out.stop.A, out.stop.b, out.starting.values)
+        scalars = (out.min_radius, out.success, out.worst_residual)
+    return [a.tobytes() for a in arrays] + [repr(scalars)]
+
+
+class TestOrderBound:
+    """The search callbacks compute the weights and their Jacobian only
+    through the order q their conditions read, and give the bytes of the
+    computation over every tree."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("s", [2, 4, 6])
+    def test_past_order_q_nan_weights_and_zero_rows(self, s, q):
+        (A, b), = _split(random_point([s], s + q), [s])
+        n = _trees_through(q) + 1
+        w, J = _weights(A, b, A.sum(axis=1), q), _weights_jacobian(A, b, *_tangents(s), q)
+        full_w, full_J = _weights(A, b, A.sum(axis=1)), _weights_jacobian(A, b, *_tangents(s))
+        assert np.isnan(w[n:]).all() and not np.isnan(w[:n]).any()
+        assert w[:n].tobytes() == full_w[:n].tobytes()
+        assert not J[n:].any()
+        assert J[:n].tobytes() == full_J[:n].tobytes()
+
+    @pytest.mark.parametrize("q,p", ATTAINABLE)
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_main_constraints(self, s, q, p, full_trees):
+        spec = EffectiveOrderSpec(q, p)
+        points = [random_point([s], 100 * s + 10 * q + k) for k in range(4)]
+        bounded = callback_bytes(*_main_constraints(s, spec), points)
+        full_trees()
+        assert bounded == callback_bytes(*_main_constraints(s, spec), points)
+
+    @pytest.mark.parametrize(
+        "label,q,p",
+        [("ESSPRK(3,3,2)", 3, 2), ("ESSPRK(4,3,2)", 3, 2), ("ESSPRK(4,4,2)", 4, 2),
+         ("ESSPRK(4,4,3)", 4, 3)],
+    )
+    def test_start_stop_constraints(self, label, q, p, full_trees):
+        main = lookup(label).main
+        _, targets, gaps = _companion_conditions(elementary_weights(main), q, p)
+        stages = [main.s + 1, main.s]
+        points = [random_point(stages, k) for k in range(4)]
+        bounded = callback_bytes(*_start_stop_constraints(targets, gaps, stages, q), points)
+        full_trees()
+        assert bounded == callback_bytes(
+            *_start_stop_constraints(targets, gaps, stages, q), points
+        )
+
+    @pytest.mark.parametrize("seed", [1000, 2000])
+    def test_search_outcomes(self, seed, full_trees):
+        config = SearchConfig(restarts=2, seed=seed)
+        main = wrap(lookup("ESSPRK(3,3,2)").main, EffectiveOrderSpec(3, 2))
+
+        def searches():
+            return [
+                outcome_bytes(optimize_main(s, EffectiveOrderSpec(q, p), config))
+                for s, q, p in [(3, 3, 2), (4, 4, 2)]
+            ] + [outcome_bytes(optimize_start_stop(main, config))]
+
+        bounded = searches()
+        full_trees()
+        assert bounded == searches()
+
+
+class TestCachedArraysReadOnly:
+    """The masks and index arrays cached per stage count are shared by
+    every later call, so none of them can be written."""
+
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_writes_raise(self, s):
+        for cached in (_structural(s), *_below_diagonal(s), *_tangents(s)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[(0,) * cached.ndim] = cached[(0,) * cached.ndim]
+        assert _structural(s) is _structural(s)
+        assert _below_diagonal(s) is _below_diagonal(s)
