@@ -10,9 +10,9 @@ One loop, ``_steps``, schedules every run; its caller, which owns the
 right-hand side, picks the step function.  The public runs and the
 Burgers experiments step with numpy's :func:`rk_step`.  The van der Pol
 studies step a small system whose slope is cheap, where ``rk_step``'s
-numpy overhead would dominate, so they use ``_float_step``: straight-line
-Python over floats, generated once per tableau, that hands any
-non-finite result back to ``rk_step`` for the diagnosis.
+numpy overhead would dominate, so they use ``_float_step``: the same
+sums, in ``_add_column``'s one order, as straight-line Python over
+floats, generated once per tableau.  No step calls BLAS.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -55,9 +55,7 @@ class IVP:
     tf: float
 
     def __post_init__(self) -> None:
-        u0 = np.atleast_1d(np.array(self.u0, dtype=float))
-        if u0.ndim != 1 or u0.size < 1:
-            raise DomainError("u0 must be a vector")
+        u0 = _vector(np.atleast_1d(np.array(self.u0, dtype=float)), "u0")
         if not np.isfinite(u0).all():
             raise DomainError("u0 must be finite")
         # an infinite end gives an infinite span, and so can two finite ends
@@ -120,40 +118,60 @@ class Trajectory:
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    # counting is cheaper than isfinite(x).all() on both small and large x,
-    # and unlike a dot or sum screen it warns on nothing
+    # counting beats isfinite(x).all() at any size, and unlike a sum warns of nothing
     return np.count_nonzero(np.isfinite(x)) == x.size
+
+
+def _vector(u, name: str) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size < 1:
+        raise DomainError(f"{name} must be a nonempty vector, got shape {u.shape}")
+    return u
+
+
+def _add_column(sums: np.ndarray, j: int, column: np.ndarray, x) -> None:
+    # every step's one summation order, which _float_step writes out: for
+    # j = 0, 1, ... in turn, row r of sums is c_0*x_0 + c_1*x_1 + ..., zeros
+    # kept; term 0 is written, as 0.0 + (-0.0) would lose the product's sign
+    if j:
+        sums[j:] += column * x
+    else:
+        np.multiply(column, x, out=sums)
+
+
+# [A; b], held once per tableau: a run steps at most three, each many times
+@lru_cache(maxsize=8)
+def _stacked(tableau: ButcherTableau) -> np.ndarray:
+    return np.vstack((tableau.A, tableau.b))
 
 
 def rk_step(
     tableau: ButcherTableau, rhs: RightHandSide, u: np.ndarray, dt: float
 ) -> np.ndarray:
-    """One explicit Runge-Kutta step of size dt from state u."""
+    """One explicit Runge-Kutta step of size dt from state u, a vector.
+
+    Each stage and the update sum in ``_add_column``'s order, with numpy's
+    overflow and invalid warnings off, the rhs's too; a non-finite slope or
+    update raises ``NonFiniteState``.
+    """
     if not dt > 0.0:
         raise DomainError(f"step size must be positive, got {dt}")
-    u = np.asarray(u, dtype=float)
-    A, b, s = tableau.A, tableau.b, tableau.s
-    slopes = np.empty((s,) + u.shape)
-    for i in range(s):
-        if i == 0:
-            stage = u
-        else:
-            # u + dt * (A[i, :i] @ slopes[:i]), formed in one buffer; .dot
-            # gives the bits of @ without the matmul ufunc's dispatch cost
-            stage = A[i, :i].dot(slopes[:i])
-            stage *= dt
+    u = _vector(u, "state")
+    K = _stacked(tableau)
+    # row r sums stage r + 1; the last row, the update
+    sums = np.empty((tableau.s, u.size))
+    stage = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(tableau.s):
+            k = np.asarray(rhs(stage))
+            if not _all_finite(k):
+                raise NonFiniteState(f"stage {j} produced a non-finite value", stage=j)
+            _add_column(sums, j, K[j + 1 :, j, None], k)
+            stage = sums[j] * dt
             stage += u
-        slopes[i] = rhs(stage)
-        if not _all_finite(slopes[i]):
-            raise NonFiniteState(
-                f"stage {i} produced a non-finite value", stage=i
-            )
-    out = b.dot(slopes)
-    out *= dt
-    out += u
-    if not _all_finite(out):
+    if not _all_finite(stage):
         raise NonFiniteState("step update produced a non-finite value")
-    return out
+    return stage
 
 
 def shu_osher_step(
@@ -161,31 +179,27 @@ def shu_osher_step(
 ) -> np.ndarray:
     """One step evaluated through the Shu-Osher recursion directly.
 
-    Numerically identical (up to roundoff) to :func:`rk_step` on the
-    converted tableau; kept as an independent path so the conversion can
-    be cross-checked end to end.
+    Both sums of each stage are in :func:`rk_step`'s order.  Equal to
+    ``rk_step`` on the converted tableau up to roundoff; kept as an
+    independent path so the conversion can be cross-checked end to end.
     """
     if not dt > 0.0:
         raise DomainError(f"step size must be positive, got {dt}")
-    u = np.asarray(u, dtype=float)
-    s = form.s
-    v, al, be = form.v, form.alpha, form.beta
-    stages = np.empty((s,) + u.shape)
-    slopes = np.empty_like(stages)
-    for i in range(s):
-        acc = v[i] * u
-        if i:
-            acc = acc + al[i, :i] @ stages[:i] + dt * (be[i, :i] @ slopes[:i])
-        stages[i] = acc
-        slopes[i] = rhs(acc)
-        if not _all_finite(slopes[i]):
-            raise NonFiniteState(
-                f"stage {i} produced a non-finite value", stage=i
-            )
-    out = v[s] * u + al[s] @ stages + dt * (be[s] @ slopes)
-    if not _all_finite(out):
+    u = _vector(u, "state")
+    # row r of each holds a sum of stage r + 1; the last row, the update's
+    stage_sums, slope_sums = np.empty((2, form.s, u.size))
+    stage = form.v[0] * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(form.s):
+            k = np.asarray(rhs(stage))
+            if not _all_finite(k):
+                raise NonFiniteState(f"stage {j} produced a non-finite value", stage=j)
+            _add_column(stage_sums, j, form.alpha[j + 1 :, j, None], stage)
+            _add_column(slope_sums, j, form.beta[j + 1 :, j, None], k)
+            stage = form.v[j + 1] * u + stage_sums[j] + dt * slope_sums[j]
+    if not _all_finite(stage):
         raise NonFiniteState("step update produced a non-finite value")
-    return out
+    return stage
 
 
 def _float_step(tableau: ButcherTableau, slope, rhs: RightHandSide, dim: int):
@@ -193,13 +207,10 @@ def _float_step(tableau: ButcherTableau, slope, rhs: RightHandSide, dim: int):
 
     Returns ``step(u, dt)`` for a state ``u`` that is a tuple of ``dim``
     floats; ``slope(*stage)`` must return the tuple ``rhs`` returns as an
-    array.  Stage i is ``u_c + dt * (a_i0*k0_c + a_i1*k1_c + ...)`` and
-    the update ``u_c + dt * (b_0*k0_c + b_1*k1_c + ...)``, each sum taken
-    left to right over the whole row, zero entries included, so a
-    non-finite slope at any stage reaches the update.  This order is fixed
-    by the source, not by a BLAS kernel, so it can differ from
-    ``rk_step``'s in the last bits.  A non-finite update re-runs the step
-    through ``rk_step``, which raises the stage's ``NonFiniteState``.
+    array.  Each sum is written out in ``rk_step``'s order, so the two
+    give equal bytes, and a non-finite slope at any stage reaches the
+    update.  A non-finite update re-runs the step through ``rk_step``,
+    which raises the stage's ``NonFiniteState``.
 
     The source embeds the ``repr`` of each coefficient, which round-trips
     a finite float exactly, and no other text from the input.
@@ -252,9 +263,9 @@ def _normalize_observe(observe_at, n: int, composite: bool):
         if observe_at != "all":
             raise DomainError(f"observe_at must be 'all' or indices, got {observe_at!r}")
         return set(range(0, n + 1)) - ({1} if composite else set())
-    out = set()
+    out = {n}
     for k in observe_at:
-        k = int(k)
+        k = _integer(k, "observation step")
         if not 0 <= k <= n:
             raise DomainError(f"observation step {k} outside 0..{n}")
         if composite and k == 1:
@@ -263,15 +274,18 @@ def _normalize_observe(observe_at, n: int, composite: bool):
                 "run; the first observable interior step is 2"
             )
         out.add(k)
-    out.add(n)
     return out
 
 
+def _integer(value, what: str) -> int:
+    # bools are integers to Python, and int() would truncate a fraction
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_steps(n, least: int) -> None:
-    # bools are integers to Python, and a fractional n would reach range()
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"step count must be an integer, got {n!r}")
-    if n < least:
+    if _integer(n, "step count") < least:
         raise DomainError(f"need at least {least} steps, got {n}")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .errors import DomainError, EssprkError, OrderConditionsInfeasible
-from .integrator import CompositeScheme
+from .integrator import CompositeScheme, _integer
 from .order_conditions import (
     EffectiveOrderSpec,
     StartingWeights,
@@ -83,12 +83,8 @@ class SearchConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        # bools are integers to Python, so True would pass as one restart
         for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < least:
+            if _integer(getattr(self, name), name) < least:
                 raise DomainError(f"{name} must be at least {least}")
         tol = self.residual_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):

@@ -424,7 +424,10 @@ def _evaluate(terms: tuple, z: np.ndarray) -> np.ndarray:
     return np.bincount(row, weights=coef * z[col], minlength=n)
 
 
-def _finite(tableau: ButcherTableau) -> bool:
+def _finite(tableau: ButcherTableau, tol: float) -> bool:
+    # a tol that is not finite and nonnegative passes every condition or none
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"order tolerance must be finite and nonnegative, got {tol}")
     return bool(np.isfinite(tableau.A).all() and np.isfinite(tableau.b).all())
 
 
@@ -442,7 +445,7 @@ def classical_order(
     conditions passed, so the true order may exceed five.  A tableau with a
     non-finite entry has order 0.
     """
-    if not _finite(tableau):
+    if not _finite(tableau, tol):
         return OrderEstimate(0)
     # huge finite entries may overflow to inf or NaN, which fail their rows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -494,7 +497,7 @@ def effective_order(
     Classical order implies these, never the reverse.  A tableau with a
     non-finite entry has effective order 0.
     """
-    if not _finite(tableau):
+    if not _finite(tableau, tol):
         return OrderEstimate(0)
     with np.errstate(over="ignore", invalid="ignore"):
         res = effective_order_residuals(

@@ -1,5 +1,6 @@
 """Byte-stable CLI output: ``check`` and ``ssp`` for every catalog label, and
-``catalog``; and one ``convergence`` output on every BLAS kernel.
+``catalog``; and one ``convergence`` and one ``burgers`` output on every
+BLAS kernel.
 
 ``data/cli_golden.json`` holds the stdout each command printed when the
 fixture was captured.  Any change to a printed byte, the last digit of a
@@ -10,11 +11,11 @@ of output:
 
 The capture also prints the same bytes under every OpenBLAS kernel, since
 no printed number goes through a BLAS or LAPACK call, and its SSP
-bisections run their exact tests at the same radii.  So does
+bisections run their exact tests at the same radii.  So do
 ``convergence`` for ESSPRK(3,3,2), (4,4,2) and (5,4,2), and for (4,4,2)
-with ``--main-only``: its studies and the van der Pol reference it prints
-errors against step in generated float arithmetic, and the reference's
-``rk_step`` run reaches only the agreement test that certifies it.
+with ``--main-only``, and ``burgers`` for ESSPRK(4,4,2) at sigma 0.9:
+every step, ``rk_step`` and the generated float step alike, sums its
+stages left to right in one order and calls no BLAS routine.
 """
 
 import contextlib
@@ -123,6 +124,16 @@ def test_convergence_one_output_on_every_blas_kernel():
         "from essprk.cli import main\n"
         f"for argv in {CONVERGENCE!r}:\n"
         "    assert main(list(argv)) == 0\n"
+    )
+    assert len(set(hashes.values())) == 1, hashes
+
+
+@every_kernel
+def test_burgers_one_output_on_every_blas_kernel():
+    # 135 rk_step steps on 200 cells, the total variation printed after each
+    hashes = _one_hash_per_kernel(
+        "from essprk.cli import main\n"
+        "assert main(['burgers', '--scheme', 'ESSPRK(4,4,2)', '--sigma', '0.9']) == 0\n"
     )
     assert len(set(hashes.values())) == 1, hashes
 

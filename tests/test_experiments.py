@@ -120,7 +120,8 @@ class TestUpwindRhs:
         with np.errstate(over="ignore", invalid="ignore"):
             f = 0.5 * u * u
             expected = -(f - np.roll(f, 1)) * (1.0 / grid.dx)
-        assert same_bits(burgers_rhs(grid)(u), expected)
+            out = burgers_rhs(grid)(u)
+        assert same_bits(out, expected)
 
     def test_constant_state_is_steady(self, continuous_grid):
         rhs = burgers_rhs(continuous_grid)
@@ -527,8 +528,8 @@ class TestReferenceSolution:
 
     def test_slope_disagreeing_with_rhs_is_never_certified(self):
         # the float run steps v' = 1.0001 v, rk_step steps v' = v: the first
-        # sampled step already differs by about 5e-8, far past rounding, so
-        # the call returns no value
+        # sampled step already differs, by about 5e-8, so the call returns
+        # no value
         ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
         with pytest.raises(EssprkError, match="step 1 of 2048: rk_step"):
             reference_solution(ivp, lambda v: (1.0001 * v,), max_doublings=2)
@@ -569,12 +570,12 @@ class TestReferenceSolution:
             reference_solution(ivp, slope)
 
     def test_float_step_within_the_sampled_check_of_rk_step(self):
-        # the check's tolerance holds at random van der Pol states, step
+        # the check's byte equality holds at random van der Pol states, step
         # sizes of the reference's runs, on every tableau a study steps
         tableaux = [dop853()] + [
             t for e in catalog() for t in (e.main, e.start, e.stop) if t is not None
         ]
-        rhs, tol = experiments._vdp_rhs, experiments.STEP_AGREEMENT
+        rhs = experiments._vdp_rhs
         rng = np.random.default_rng(2012)
         for tableau in tableaux:
             step = integrator._float_step(tableau, experiments._vdp_slope, rhs, 2)
@@ -582,8 +583,15 @@ class TestReferenceSolution:
                 dt = experiments.VDP_FINAL_TIME / n
                 for u in rng.uniform([-2.5, -4.0], [2.5, 4.0], (20, 2)).tolist():
                     v = np.array(step(tuple(u), dt))
-                    gap = np.max(np.abs(rk_step(tableau, rhs, u, dt) - v))
-                    assert gap <= tol * (1.0 + np.max(np.abs(v)))
+                    assert rk_step(tableau, rhs, u, dt).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("max_doublings", [2.5, True, -1, "3"])
+    def test_max_doublings_must_be_a_nonnegative_integer(self, max_doublings):
+        # 2.5 once raised a bare TypeError, True ran as 1, and -1 reported
+        # no convergence without comparing anything
+        ivp = IVP(rhs=lambda v: v, u0=np.array([1.0]), t0=0.0, tf=1.0)
+        with pytest.raises(DomainError, match="max_doublings must be"):
+            reference_solution(ivp, lambda v: (v,), max_doublings=max_doublings)
 
 
 class TestDop853Reference:

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from essprk.integrator import (
 )
 from essprk.methods import catalog, dop853, family_n2p1, lookup
 from essprk.ssp import ssp_coefficient
-from essprk.tableau import ButcherTableau, shu_osher_to_butcher
+from essprk.tableau import ButcherTableau, ShuOsherForm, shu_osher_to_butcher
 
 from conftest import make_random_tableau, run_python
 
@@ -75,14 +76,24 @@ def structured_tableaux():
     return out
 
 
-def reference_rk_step(tableau, rhs, u, dt):
-    """The stage and update formulas rk_step must reproduce bit for bit."""
-    A, b, s = tableau.A, tableau.b, tableau.s
-    slopes = np.empty((s,) + u.shape)
-    for i in range(s):
-        stage = u if i == 0 else u + dt * (A[i, :i] @ slopes[:i])
-        slopes[i] = rhs(stage)
-    return u + dt * (b @ slopes)
+def reference_step(tableau, rhs, u, dt):
+    """The step rk_step and _float_step must both give bit for bit: stage i
+    is u + dt * (a_i0*k0 + a_i1*k1 + ...) and the update u + dt * (b_0*k0 +
+    b_1*k1 + ...), each sum taken left to right over its whole row of
+    [A; b], zero entries included."""
+    A, b = tableau.A.tolist(), tableau.b.tolist()
+
+    def combination(coefs, slopes):
+        total = coefs[0] * slopes[0]
+        for a, k in zip(coefs[1:], slopes[1:]):
+            total = total + a * k
+        return total
+
+    slopes = []
+    for i in range(tableau.s):
+        stage = u if i == 0 else u + dt * combination(A[i][:i], slopes)
+        slopes.append(rhs(stage))
+    return u + dt * combination(b, slopes)
 
 
 class TestRkStep:
@@ -130,7 +141,7 @@ class TestRkStep:
             return np.sin(v) - 0.3 * v * v
 
         out = rk_step(tableau, rhs, u, 0.03)
-        assert out.tobytes() == reference_rk_step(tableau, rhs, u, 0.03).tobytes()
+        assert out.tobytes() == reference_step(tableau, rhs, u, 0.03).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4000])
     def test_structured_tableaux_match_reference_bit_for_bit(self, m):
@@ -143,7 +154,7 @@ class TestRkStep:
 
         for tableau in structured_tableaux():
             out = rk_step(tableau, rhs, u, 0.07)
-            expected = reference_rk_step(tableau, rhs, u, 0.07)
+            expected = reference_step(tableau, rhs, u, 0.07)
             assert out.tobytes() == expected.tobytes(), tableau.label
 
     @pytest.mark.parametrize("m", [2, 4000])
@@ -173,6 +184,54 @@ class TestRkStep:
         out = rk_step(forward_euler, lambda v: np.full(2, 1e308), np.zeros(2), 1.0)
         assert np.array_equal(out, [1e308, 1e308])
 
+    @pytest.mark.parametrize("m", [2, 4000])
+    @pytest.mark.parametrize(
+        "A, b, message",
+        [
+            # stage 2 reads 1.5e308 + 1.5e308
+            ([[0, 0, 0], [1, 0, 0], [1, 1, 0]], [0, 0, 1], "stage 2 produced"),
+            ([[0, 0], [0.5, 0]], [0.75, 0.75], "step update produced"),
+        ],
+        ids=["stage", "update"],
+    )
+    @pytest.mark.parametrize("path", ["butcher", "shu-osher"])
+    def test_overflowing_weighted_sum_raises_silently(self, path, A, b, message, m):
+        # every slope at a finite state is finite, so only a weighted sum
+        # of them overflows: BLAS stage sums raised this error after an
+        # overflow warning, which the step no longer prints
+        K = np.vstack((A, b)).astype(float)
+        s = K.shape[1]
+        if path == "butcher":
+            step = partial(rk_step, ButcherTableau(A=K[:s], b=K[s]))
+        else:
+            form = ShuOsherForm(v=np.ones(s + 1), alpha=np.zeros_like(K), beta=K)
+            step = partial(shu_osher_step, form)
+
+        def rhs(v):
+            return np.where(np.isfinite(v), 1.5e308, v)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match=message):
+                step(rhs, np.zeros(m), 0.5)
+
+    def test_slope_may_be_a_list_or_a_scalar(self, ssprk33):
+        # broadcast as numpy does, as when slopes were stored in a buffer
+        out = rk_step(ssprk33, lambda v: [1.0, 2.0], np.zeros(2), 0.5)
+        assert out.tolist() == [0.5, 1.0]
+        out = rk_step(ssprk33, lambda v: 1.0, np.zeros(2), 0.5)
+        assert out.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "u", [np.ones((2, 2)), np.array(1.0), np.empty(0)],
+        ids=["matrix", "scalar", "empty"],
+    )
+    def test_state_must_be_a_nonempty_vector(self, ssprk33, u):
+        with pytest.raises(DomainError, match="nonempty vector"):
+            rk_step(ssprk33, lambda v: v, u, 0.1)
+        with pytest.raises(DomainError, match="nonempty vector"):
+            shu_osher_step(family_n2p1(3), lambda v: v, u, 0.1)
+
 
 def slope1(x):
     return (x - x * x * x,)
@@ -188,28 +247,6 @@ def slope3(x, y, z):
 
 def as_rhs(slope):
     return lambda u: np.array(slope(*u.tolist()))
-
-
-def reference_float_step(tableau, slope, u, dt):
-    """The documented order _float_step must reproduce bit for bit: each
-    stage and the update sum their whole row left to right, zeros kept."""
-    A, b = tableau.A.tolist(), tableau.b.tolist()
-
-    def combination(coefs, slopes, c):
-        total = coefs[0] * slopes[0][c]
-        for a, k in zip(coefs[1:], slopes[1:]):
-            total = total + a * k[c]
-        return total
-
-    slopes = []
-    for i in range(tableau.s):
-        stage = u
-        if i:
-            stage = tuple(
-                u[c] + dt * combination(A[i][:i], slopes, c) for c in range(len(u))
-            )
-        slopes.append(slope(*stage))
-    return tuple(u[c] + dt * combination(b, slopes, c) for c in range(len(u)))
 
 
 def seeded_states(dim, count):
@@ -228,17 +265,13 @@ class TestFloatStep:
             for u, dt in seeded_states(dim, 20):
                 out = step(u, dt)
                 assert type(out) is tuple and all(type(x) is float for x in out)
-                expected = reference_float_step(tableau, slope, u, dt)
-                assert np.array(out).tobytes() == np.array(expected).tobytes()
+                expected = reference_step(tableau, as_rhs(slope), np.array(u), dt)
+                assert np.array(out).tobytes() == expected.tobytes()
 
-    # rk_step sums each row in BLAS order.  Largest gaps measured over
-    # these states, relative to the state's magnitude: 4.2e-13 for the
-    # cubic, whose larger steps go far past its stability limit and so
-    # amplify each stage's rounding, and 4.5e-16 and 7.7e-17 for the others
-    @pytest.mark.parametrize(
-        "slope, tol", [(slope1, 1e-12), (slope2, 1e-14), (slope3, 1e-14)]
-    )
-    def test_agrees_with_rk_step_to_rounding(self, slope, tol):
+    @pytest.mark.parametrize("slope", [slope1, slope2, slope3])
+    def test_equals_rk_step_byte_for_byte(self, slope):
+        # the cubic's larger steps go far past its stability limit, which
+        # amplifies any difference in a stage's rounding
         dim = slope.__code__.co_argcount
         rhs = as_rhs(slope)
         for tableau in structured_tableaux():
@@ -246,8 +279,7 @@ class TestFloatStep:
             for u, dt in seeded_states(dim, 20):
                 out = np.array(step(u, dt))
                 expected = rk_step(tableau, rhs, np.array(u), dt)
-                scale = max(np.max(np.abs(u)), np.max(np.abs(expected)))
-                assert np.max(np.abs(out - expected)) <= tol * scale
+                assert out.tobytes() == expected.tobytes(), tableau.label
 
     def test_non_finite_coefficient_rejected(self):
         A = np.array([[0.0, 0.0], [np.nan, 0.0]])
@@ -337,6 +369,21 @@ def test_step_count_must_be_an_integer(scheme_442, run, n):
         "composite_steps": lambda: list(composite_steps(scheme_442, ivp, n)),
     }
     with pytest.raises(DomainError, match="must be an integer"):
+        calls[run]()
+
+
+@pytest.mark.parametrize(
+    "k", [2.7, True, "3", np.nan], ids=["fraction", "bool", "string", "nan"]
+)
+@pytest.mark.parametrize("run", ["run_single", "run_composite"])
+def test_observation_step_must_be_an_integer(scheme_442, run, k):
+    # run_single once recorded 2.7 as step 2, True as step 1, "3" as step 3
+    ivp = exponential_ivp()
+    calls = {
+        "run_single": lambda: run_single(scheme_442.main, ivp, 10, observe_at=[k]),
+        "run_composite": lambda: run_composite(scheme_442, ivp, 10, observe_at=[k]),
+    }
+    with pytest.raises(DomainError, match="observation step must be an integer"):
         calls[run]()
 
 

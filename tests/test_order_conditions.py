@@ -85,6 +85,17 @@ class TestClassicalOrder:
         # a sloppy tolerance accepts the order-four conditions too
         assert classical_order(ssprk33, tol=1.0) >= 4
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-12])
+    @pytest.mark.parametrize("verdict", [classical_order, effective_order])
+    def test_tolerance_must_be_finite_and_nonnegative(self, forward_euler, verdict, tol):
+        # inf once passed every condition, NaN or a negative tol none; the
+        # non-finite tableau returns order 0 only after tol is checked
+        nan_b = ButcherTableau(A=forward_euler.A, b=np.array([np.nan]))
+        for tableau in (forward_euler, nan_b):
+            with pytest.raises(DomainError, match="finite and nonnegative"):
+                verdict(tableau, tol=tol)
+        assert verdict(forward_euler, tol=0.0) == 1
+
 
 class TestEffectiveOrderSpec:
     @pytest.mark.parametrize("q,p", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)])
